@@ -10,6 +10,7 @@ fraction field Q(x) or Q(t) are certified rather than estimated.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -21,7 +22,8 @@ PolyMatrix = list[list[Polynomial]]
 
 
 def fracs(row: Sequence) -> list[Fraction]:
-    return [Fraction(x) for x in row]
+    # Fractions are immutable, so entries that already are one are shared
+    return [x if type(x) is Fraction else Fraction(x) for x in row]
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -75,8 +77,9 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = 1 / m[pr][c]
-        m[pr] = [x * inv for x in m[pr]]
+        if m[pr][c] != 1:
+            inv = 1 / m[pr][c]
+            m[pr] = [x * inv for x in m[pr]]
         for i in range(len(m)):
             if i != pr and m[i][c] != 0:
                 f = m[i][c]
@@ -100,6 +103,15 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec
             raise ValueError("ncols required for an empty matrix")
         ncols = len(m[0])
     red, pivots = rref(m)
+    vectors = standard_kernel_vectors(red, pivots, ncols)
+    if not vectors:
+        return []
+    canon, _ = rref(vectors)
+    return [tuple(r) for r in canon[: len(vectors)]]
+
+
+def standard_kernel_vectors(red: Matrix, pivots: Sequence[int], ncols: int) -> Matrix:
+    """Kernel basis read off a reduced echelon form: e_f - sum_i red[i][f] e_(pivot i) per free column f."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     vectors = []
@@ -109,10 +121,7 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec
         for i, c in enumerate(pivots):
             v[c] = -red[i][f]
         vectors.append(v)
-    if not vectors:
-        return []
-    canon, _ = rref(vectors)
-    return [tuple(r) for r in canon[: len(vectors)]]
+    return vectors
 
 
 def solve_linear(rows: Sequence[Sequence], b: Sequence) -> Vec | None:
@@ -317,6 +326,45 @@ def rational_det(rows: Sequence[Sequence]) -> Fraction:
                 f = m[i][k] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return det
+
+
+def maximal_minors(rows: Sequence[Sequence], ncols: int) -> list:
+    """Every k x k minor of a k x ncols matrix, in ``combinations(range(ncols), k)`` order.
+
+    Laplace expansion along one row at a time: the minors of the first j + 1
+    rows on a column set S are sums of entries of row j times the minors of
+    the first j rows on S minus one column, so each smaller minor is computed
+    once and shared by every larger one that contains it.  Zero entries and
+    zero sub-minors are skipped and nothing is divided, so the entries may
+    come from any commutative ring with ``+``, ``-`` and ``*`` (ints,
+    Fractions, Polynomials).  The single minor of a matrix with no rows is 1.
+    """
+    if not rows:
+        return [1]
+    if len(rows) > ncols:
+        return []
+    # column set -> minor of the rows so far, keyed by a bitmask of columns
+    minors = {1 << c: x for c, x in enumerate(rows[0]) if x}
+    for j, row in enumerate(rows[1:], 1):
+        entries = [(1 << c, x) for c, x in enumerate(row) if x]
+        grown: dict = {}
+        for mask, minor in minors.items():
+            for bit, x in entries:
+                if mask & bit:
+                    continue
+                term = x * minor
+                # sign (-1)^(i+j), i the position of the new column in the set
+                if ((mask & (bit - 1)).bit_count() + j) & 1:
+                    term = -term
+                key = mask | bit
+                prev = grown.get(key)
+                grown[key] = term if prev is None else prev + term
+        minors = {mask: m for mask, m in grown.items() if m}
+    zero = rows[0][0] - rows[0][0]
+    return [
+        minors.get(sum(1 << c for c in cols), zero)
+        for cols in combinations(range(ncols), len(rows))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .foliation import (
 )
 from .grassmann import Subspace
 from .hncone import curve_family, hn_fiber, limit_subalgebra_check, nash_fiber, sandwich_check
-from .poisson import cotangent_lift_check, hamiltonian_field, hamiltonian_identity_defect, hn_invariance_test
+from .poisson import NonFiniteState, cotangent_lift_check, hamiltonian_field, hamiltonian_identity_defect, hn_invariance_test
 from .presets import BUILTIN_NAMES, Preset, PresetError, load_preset
 from .symbols import (
     OddDegreeWarning,
@@ -77,6 +77,26 @@ def _point_arg(text: str) -> tuple[Fraction, ...]:
 
 def _points_arg(text: str) -> list[tuple[Fraction, ...]]:
     return [_point_arg(chunk) for chunk in text.split(";") if chunk.strip()]
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return parse
+
+
+def _check_points(preset: Preset, points: Sequence[Sequence[Fraction]], what: str = "point") -> None:
+    n = preset.presentation.dim
+    for m in points:
+        if len(m) != n:
+            raise argparse.ArgumentTypeError(
+                f"{what} ({','.join(_vec(m))}) has {len(m)} coordinates; {preset.presentation.name} has {n}"
+            )
 
 
 def _emit(report: dict[str, Any], args) -> None:
@@ -175,6 +195,7 @@ def cmd_analyze(args) -> int:
     r, is_regular = regular_data(p)
     bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
     points = args.points or _default_points(p.dim)
+    _check_points(preset, points)
     structure_bound = _ensure_structure(preset, None)
     results: dict[str, Any] = {
         "name": p.name,
@@ -230,6 +251,7 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
     preset = _load(args)
     p = preset.presentation
     m = args.point
+    _check_points(preset, [m])
     curves = curve_family(m, args.curves, args.arc_degree, args.seed)
     sample = nash_fiber(p, m, curves)
     exit_code = 0
@@ -351,6 +373,9 @@ def cmd_elliptic(args) -> int:
     preset = _load(args)
     p = preset.presentation
     element = _resolve_operator(preset, args.op)
+    if not args.points:
+        raise argparse.ArgumentTypeError("--points must name at least one point")
+    _check_points(preset, args.points)
     try:
         rep = ellipticity_check(
             element,
@@ -415,21 +440,28 @@ def _parse_scenario(text: str, preset: Preset) -> dict[str, Any]:
         if "=" not in chunk:
             raise argparse.ArgumentTypeError(f"bad scenario chunk {chunk!r}")
         key, value = (part.strip() for part in chunk.split("=", 1))
-        if key == "point":
-            out["point"] = _point_arg(value)
-        elif key == "eta":
-            out["eta"] = _point_arg(value)
-        elif key == "gen":
-            names = preset.generator_names
-            if value not in names:
-                raise argparse.ArgumentTypeError(f"unknown generator {value!r}")
-            out["gen"] = names.index(value)
-        elif key == "T":
-            out["T"] = float(Fraction(value))
-        elif key == "steps":
-            out["steps"] = int(value)
-        else:
-            raise argparse.ArgumentTypeError(f"unknown scenario key {key!r}")
+        try:
+            if key == "point":
+                out["point"] = _point_arg(value)
+            elif key == "eta":
+                out["eta"] = _point_arg(value)
+            elif key == "gen":
+                names = preset.generator_names
+                if value not in names:
+                    raise argparse.ArgumentTypeError(f"unknown generator {value!r}")
+                out["gen"] = names.index(value)
+            elif key == "T":
+                out["T"] = float(Fraction(value))
+            elif key == "steps":
+                out["steps"] = int(value)
+                if out["steps"] < 1:
+                    raise ValueError("steps must be >= 1")
+            else:
+                raise argparse.ArgumentTypeError(f"unknown scenario key {key!r}")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"bad scenario chunk {chunk!r}: {exc}") from exc
+    if "point" not in out:
+        raise argparse.ArgumentTypeError(f"scenario {text!r} has no point=...")
     return out
 
 
@@ -472,6 +504,15 @@ def cmd_poisson_check(args) -> int:
         if args.scenario
         else _auto_scenarios(preset, args.seed)
     )
+    _, is_regular = regular_data(p)
+    for sc in scenarios:
+        _check_points(preset, [sc["point"]])
+        if "eta" in sc:
+            _check_points(preset, [sc["eta"]], what="eta")
+        if not is_regular(sc["point"]):
+            raise argparse.ArgumentTypeError(
+                f"flow start ({','.join(_vec(sc['point']))}) is a singular point; pick a regular one"
+            )
     results = []
     ok = True
     for idx, sc in enumerate(scenarios):
@@ -558,12 +599,12 @@ def _add_common(sp: argparse.ArgumentParser, with_curves: bool = True) -> None:
     sp.add_argument("--out", help="write the JSON report to this file instead of stdout")
     sp.add_argument("--csv", help="directory for CSV emission of fibers/trajectories")
     sp.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
-    sp.add_argument("--degree-bound", dest="degree_bound", type=int, default=None,
+    sp.add_argument("--degree-bound", dest="degree_bound", type=_int_at_least(0), default=None,
                     help="strong-kernel syzygy degree bound (default: max generator degree + dim)")
     if with_curves:
         sp.add_argument("--curves", type=int, default=None,
                         help="number of ray directions (default: 3n deterministic directions)")
-        sp.add_argument("--arc-degree", dest="arc_degree", type=int, default=2,
+        sp.add_argument("--arc-degree", dest="arc_degree", type=_int_at_least(1), default=2,
                         help="maximum arc degree in the curve family")
 
 
@@ -646,6 +687,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except NonFiniteState as exc:
+        print(f"error: the flow left the finite range ({exc}); try a shorter T or more steps", file=sys.stderr)
         return 2
 
 

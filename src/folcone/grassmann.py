@@ -3,11 +3,16 @@
 A ``Subspace`` is stored by its reduced-echelon basis, which is a complete
 invariant; the normalized Pluecker vector (primitive integers, first nonzero
 entry positive) is computed lazily from it and is the second complete
-invariant used in reports and in limit reconstruction.
+invariant used in reports and in limit reconstruction.  All C(N,k)
+coordinates come from one shared-minor pass (``algebra.maximal_minors``) over
+the basis rows cleared to integers; when 2k > N the pass runs on the
+annihilator, whose N - k rows read off the echelon basis, and the
+coordinates follow from p_S(V) = ±p_{S^c}(V°).
 
 Limits of kernels along polynomial arcs t -> x(t) are computed exactly:
 substitute the arc, take a polynomial basis of the relevant space over Q(t),
-form its Pluecker vector (a polynomial vector in t), strip the common power
+form its Pluecker vector (a polynomial vector in t, from the same shared-minor
+pass over Q[t]), strip the common power
 of t, and read off the value at t = 0.  The limit of the kernel family is
 computed on whichever side of the annihilator duality is smaller (kernel of
 the matrix, or its row space), which give the same subspace.
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +67,7 @@ class Subspace:
         return self._plucker
 
     def contains_vector(self, v: Sequence) -> bool:
-        r = [Fraction(x) for x in v]
+        r = algebra.fracs(v)
         if len(r) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         for row in self.basis:
@@ -126,35 +131,47 @@ def annihilator(v: Subspace) -> Subspace:
 # ---------------------------------------------------------------------------
 
 
-def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> tuple[Fraction, ...]:
-    """Vector of k x k minors over lexicographic column subsets."""
+def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> tuple[int, ...]:
+    """Integer vector proportional to the Pluecker vector of the rows' span.
+
+    Coordinates follow the lexicographic column subsets; all vanish when the
+    rows are dependent.  The rows are cleared of denominators and every
+    minor comes from one shared-minor pass (``algebra.maximal_minors``).
+    When 2k > N the pass runs on the smaller annihilator V° instead, whose
+    standard basis reads off the reduced echelon form of the rows, and
+    p_S(V) = eps(S) p_{S^c}(V°) with eps(S) = (-1)^(sum(S) - k(k-1)/2), up to
+    one nonzero scalar.  ``normalize_plucker`` removes that scalar.
+    """
     k = len(basis)
-    if k == 0:
-        return (Fraction(1),)
-    out = []
-    rows = [list(r) for r in basis]
-    for cols in combinations(range(ambient_dim), k):
-        out.append(algebra.rational_det([[row[c] for c in cols] for row in rows]))
-    return tuple(out)
+    if 2 * k <= ambient_dim:
+        return tuple(algebra.maximal_minors([_integer_row(r) for r in basis], ambient_dim))
+    red, pivots = algebra.rref(basis)
+    if len(pivots) < k:
+        return (0,) * comb(ambient_dim, k)
+    dual = [_integer_row(v) for v in algebra.standard_kernel_vectors(red, pivots, ambient_dim)]
+    # complementing the subsets reverses their lexicographic order
+    dual_minors = reversed(algebra.maximal_minors(dual, ambient_dim))
+    shift = k * (k - 1) // 2
+    return tuple(
+        -q if (sum(cols) - shift) & 1 else q
+        for cols, q in zip(combinations(range(ambient_dim), k), dual_minors)
+    )
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
 
 
 def normalize_plucker(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to primitive integers with the first nonzero entry positive."""
-    coords = [Fraction(x) for x in vec]
-    nz = [c for c in coords if c != 0]
-    if not nz:
+    ints = _integer_row(vec)
+    g = gcd(*ints)
+    if g == 0:
         raise ZeroPluckerLimit("all Pluecker coordinates vanish")
-    den = 1
-    for c in coords:
-        den = lcm(den, c.denominator)
-    num = 0
-    for c in coords:
-        num = gcd(num, c.numerator * (den // c.denominator))
-    scale = Fraction(den, num)
-    coords = [c * scale for c in coords]
-    if next(c for c in coords if c != 0) < 0:
-        coords = [-c for c in coords]
-    return tuple(coords)
+    if next(n for n in ints if n) < 0:
+        g = -g
+    return tuple(Fraction(n // g) for n in ints)
 
 
 def reconstruct_from_plucker(vec: Sequence[Fraction], ambient_dim: int, k: int) -> Subspace:
@@ -282,13 +299,9 @@ class LimitDetail:
 
 
 def _poly_rows_pluecker(rows: Sequence[Sequence[Polynomial]], n_cols: int) -> tuple[Polynomial, ...]:
-    k = len(rows)
-    if k == 0:
+    if not rows:
         return (Polynomial.one(_T_VARS),)
-    out = []
-    for cols in combinations(range(n_cols), k):
-        out.append(algebra.bareiss_det([[row[c] for c in cols] for row in rows]))
-    return tuple(out)
+    return tuple(algebra.maximal_minors(rows, n_cols))
 
 
 def limit_along_curve_detailed(

@@ -260,15 +260,17 @@ def flow_rk4(rhs: Callable[[np.ndarray], np.ndarray], start: Sequence[float], t_
     times = np.linspace(0.0, t_final, steps + 1)
     states = np.empty((steps + 1, y.size))
     states[0] = y
-    for s in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFiniteState(f"blow-up at step {s+1}")
-        states[s + 1] = y
+    # overflow is reported once, as NonFiniteState, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(f"blow-up at step {s+1}")
+            states[s + 1] = y
     return Trajectory(times, states)
 
 

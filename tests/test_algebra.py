@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,43 @@ class TestDeterminants:
         m = [[x, y, zero], [one, x, y], [zero, one, x]]
         expected = x * (x * x - y) - y * (x - zero)
         assert algebra.bareiss_det(m) == expected
+
+
+def minors_oracle(rows, ncols, det):
+    """One determinant per column subset, the definition maximal_minors must meet."""
+    return [det([[row[c] for c in cols] for row in rows]) for cols in combinations(range(ncols), len(rows))]
+
+
+# zeros are frequent so that zero entries and zero sub-minors are exercised
+rational_entry = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+)
+t_poly = st.builds(
+    lambda cs: Polynomial(T, {(e,): c for e, c in enumerate(cs)}),
+    st.lists(st.integers(-2, 2).map(Fraction), max_size=3),
+)
+
+
+@st.composite
+def matrices(draw, entry, min_rows=0, max_cols=6):
+    ncols = draw(st.integers(0, max_cols))
+    k = draw(st.integers(min_rows, ncols + 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=k, max_size=k))
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(rational_entry))
+def test_maximal_minors_match_rational_det(case):
+    rows, ncols = case
+    assert algebra.maximal_minors(rows, ncols) == minors_oracle(rows, ncols, algebra.rational_det)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(t_poly, min_rows=1, max_cols=5))
+def test_maximal_minors_match_bareiss_det(case):
+    rows, ncols = case
+    assert algebra.maximal_minors(rows, ncols) == minors_oracle(rows, ncols, algebra.bareiss_det)
 
 
 class TestKernelOverCurve:

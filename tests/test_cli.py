@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,6 +194,29 @@ class TestCommands:
         code, _, _ = run_cli(capsys, "hn-fiber", "so3_r3", "--point", "banana")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "so3_r3", "--points", "1,2"),
+            ("hn-fiber", "so3_r3", "--point", "0,0"),
+            ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,2"),
+            ("elliptic", "so3_r3", "--op", "0-g1.g1-g2.g2-g3.g3", "--points", ";"),
+            ("nash-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", "0"),
+            ("analyze", "so3_r3", "--degree-bound", "-1"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0;steps=0"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0;steps=x"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1"),
+            ("poisson-check", "so3_r3", "--scenario", "point=0,0,0;gen=g3;eta=0,1,0"),
+            ("poisson-check", "so3_r3", "--scenario", "gen=g3;eta=0,1,0"),
+            ("poisson-check", "order2_r2", "--scenario", "point=2,2;gen=g1;eta=1,2"),
+        ],
+    )
+    def test_bad_input_exits_two_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "Traceback" not in err
+
     def test_odd_degree_elliptic_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1", "--points", "1,0,0")
         assert code == 2 and "odd" in err
@@ -204,6 +228,30 @@ class TestCommands:
         assert len(report["results"]) == 11
         assert all(entry["passed"] for entry in report["results"])
         assert err.count("PASS") == 11
+
+    @pytest.mark.parametrize(
+        "argv, sha256, size",
+        [
+            # 3- and 6-dimensional subspaces of Q^9: direct and complement Pluecker paths
+            (
+                ("hn-fiber", "vanishing_origin_3", "--point", "0,0,0", "--seed", "0"),
+                "25f1cbafab9ac815286d8eb11ac9c5b148fd40471bfee6a8f9c84e14617b5114",
+                42619,
+            ),
+            # a 12-dimensional strong kernel in Q^16
+            (
+                ("analyze", "r4_counterexample", "--points", "3,0,1,2", "--seed", "0"),
+                "785178aadd2beb8b2f33ed5f07e3978f250ceda4a4dd79e1cb43a7da76edbef5",
+                36116,
+            ),
+        ],
+        ids=["hn-fiber-vanishing_origin_3", "analyze-r4_counterexample"],
+    )
+    def test_golden_reports(self, capsys, argv, sha256, size):
+        code, out, _ = run_cli(capsys, *argv)
+        data = out.encode()
+        assert code == 0
+        assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -1,9 +1,12 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folcone import algebra
 from folcone.expr import Polynomial, parse_vector_field
@@ -16,6 +19,7 @@ from folcone.grassmann import (
     limit_along_curve_detailed,
     make_subspace,
     normalize_plucker,
+    plucker_of_basis,
     reconstruct_from_plucker,
     subspace_distance,
 )
@@ -112,6 +116,51 @@ class TestPlucker:
         c = make_subspace([(1, 0, 0), (0, 1, 1)])
         assert a == b and a.plucker == b.plucker
         assert a != c and a.plucker != c.plucker
+
+
+def plucker_oracle(rows, n):
+    """Normalized k x k minors, one rational determinant per column subset; None if all vanish."""
+    minors = [algebra.rational_det([[r[c] for c in cols] for r in rows]) for cols in combinations(range(n), len(rows))]
+    return normalize_plucker(minors) if any(minors) else None
+
+
+@st.composite
+def bases(draw, max_dim=7):
+    """k x N rational rows with k = 0..N, so both 2k <= N and 2k > N occur."""
+    n = draw(st.integers(1, max_dim))
+    k = draw(st.integers(0, n))
+    entry = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    return rows, n
+
+
+class TestPluckerOfBasis:
+    @settings(max_examples=150, deadline=None)
+    @given(bases())
+    def test_any_basis_matches_oracle(self, case):
+        # raw rows: not echelon, possibly dependent
+        rows, n = case
+        expected = plucker_oracle(rows, n)
+        got = plucker_of_basis(rows, n)
+        if expected is None:
+            assert not any(got)
+        else:
+            assert normalize_plucker(got) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(bases())
+    def test_echelon_basis_matches_oracle(self, case):
+        rows, n = case
+        s = make_subspace(rows, n)
+        assert s.plucker == plucker_oracle(s.basis, n)
+
+    def test_complement_beyond_hypothesis_sizes(self):
+        # a 7-dimensional subspace of Q^10 takes the complement path with 3 dual rows
+        rng = random.Random(26)
+        rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(10)] for _ in range(7)]
+        s = make_subspace(rows, 10)
+        assert s.dim == 7
+        assert s.plucker == plucker_oracle(s.basis, 10) == plucker_oracle(rows, 10)
 
 
 class TestAnnihilator:
