@@ -74,7 +74,6 @@ from .symbols import (
     OddDegreeWarning,
     SymbolPolynomial,
     UEAElement,
-    apply_operator,
     classical_principal_symbol,
     ellipticity_check,
     pullback_consistency,

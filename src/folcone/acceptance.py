@@ -52,10 +52,6 @@ def _result(num: int, title: str, failures: list[str], detail: str = "") -> Crit
     return CriterionResult(num, title, True, detail)
 
 
-def _preset(name: str):
-    return load_preset(name)
-
-
 def _sample_regular_points(p: FoliationPresentation, count: int, seed: int):
     _, is_regular = regular_data(p)
     rng = random.Random(seed)
@@ -79,7 +75,7 @@ def _sample_regular_points(p: FoliationPresentation, count: int, seed: int):
 @lru_cache(maxsize=None)
 def criterion_1() -> CriterionResult:
     title = "so3 regular fiber equals the orthogonal plane of the base point"
-    so3 = _preset("so3_r3").presentation
+    so3 = load_preset("so3_r3").presentation
     failures = []
     for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1)):
         sample = hn_fiber(so3, v, seed=0)
@@ -100,7 +96,7 @@ def criterion_1() -> CriterionResult:
 @lru_cache(maxsize=None)
 def criterion_2() -> CriterionResult:
     title = "so3 fiber at the origin covers every covector via an orthogonal ray"
-    so3 = _preset("so3_r3").presentation
+    so3 = load_preset("so3_r3").presentation
     rng = random.Random(2)
     failures = []
     covered = 0
@@ -133,7 +129,7 @@ def criterion_3() -> CriterionResult:
     failures = []
     rng = random.Random(3)
     for d in (2, 3):
-        p = _preset(f"vanishing_origin_{d}").presentation
+        p = load_preset(f"vanishing_origin_{d}").presentation
         origin = tuple(Fraction(0) for _ in range(d))
         sample = hn_fiber(p, origin, seed=0)
         if not sample.spaces:
@@ -172,7 +168,7 @@ def _order2_curves() -> list[Curve]:
 @lru_cache(maxsize=None)
 def criterion_4() -> CriterionResult:
     title = "order2 fiber planes satisfy xi1*xi2 = xi3^2 and xi4*xi5 = xi6^2; >= 5 planes"
-    p = _preset("order2_r2").presentation
+    p = load_preset("order2_r2").presentation
     sample = hn_fiber(p, (0, 0), _order2_curves())
     failures = []
     if len(sample.spaces) < 5:
@@ -209,7 +205,7 @@ def _r4_fiber_points():
 @lru_cache(maxsize=None)
 def criterion_5() -> CriterionResult:
     title = "r4 word realizes to zero, has nonzero symbol, and vanishes on all cone fibers"
-    preset = _preset("r4_counterexample")
+    preset = load_preset("r4_counterexample")
     p = preset.presentation
     element = UEAElement.from_words(preset.operators["p"], p.vars)
     op = realize(element, p)
@@ -275,7 +271,7 @@ def criterion_6() -> CriterionResult:
     )
     failures = []
     for name in names:
-        p = _preset(name).presentation
+        p = load_preset(name).presentation
         rng = random.Random(6)
         elements = [_random_element(p, rng) for _ in range(5)]
         points = _sample_regular_points(p, 20, seed=60)
@@ -314,7 +310,7 @@ _SINGULAR_SUITES: tuple[tuple[str, tuple, object], ...] = (
 
 
 def _singular_sample(name: str, point, family):
-    p = _preset(name).presentation
+    p = load_preset(name).presentation
     if family == "small":
         origin, curves, _ = _r4_fiber_points()
         return p, nash_fiber(p, point, curves)
@@ -366,7 +362,7 @@ def criterion_8() -> CriterionResult:
     title = "cone membership drift and cotangent-lift deviation <= 1e-6 over RK4 flows"
     failures = []
     for name, scenarios in _POISSON_SCENARIOS.items():
-        p = _preset(name).presentation
+        p = load_preset(name).presentation
         if not p.has_structure():
             solve_structure_functions(p)
         for idx, (m, gen, eta) in enumerate(scenarios):
@@ -393,7 +389,7 @@ def criterion_8() -> CriterionResult:
 def criterion_9() -> CriterionResult:
     title = "sum-of-squares elliptic with exact minimum 1; single-square not; line elliptic"
     failures = []
-    so3p = _preset("so3_r3")
+    so3p = load_preset("so3_r3")
     so3 = so3p.presentation
     sos = UEAElement.from_words(so3p.operators["sos"], so3.vars)
     rep = ellipticity_check(sos, so3, [(0, 0, 0), (1, 0, 0), (1, 1, 1)], tolerance=1e-9, seed=0)
@@ -415,7 +411,7 @@ def criterion_9() -> CriterionResult:
         sigma = symbol_top(g1sq, 2, fiber_dim=3)
         if not symbol_on_fiber(sigma, (0, 0, 0), witness).is_zero():
             failures.append("witness plane does not annihilate the symbol")
-    debp = _preset("debord_line")
+    debp = load_preset("debord_line")
     dsq = UEAElement.from_words(debp.operators["g1sq"], debp.presentation.vars)
     rep3 = ellipticity_check(dsq, debp.presentation, [(0,), (2,)], tolerance=1e-9, seed=0)
     if not rep3.elliptic:
@@ -431,7 +427,7 @@ def criterion_9() -> CriterionResult:
 def _limit_details():
     """All LimitDetail records produced while reproducing criteria 1-4."""
     out = []
-    so3 = _preset("so3_r3").presentation
+    so3 = load_preset("so3_r3").presentation
     for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1)):
         out.extend(nash_fiber(so3, v, seed=0).details)
     rng = random.Random(2)
@@ -442,9 +438,9 @@ def _limit_details():
         d = algebra.kernel_basis([list(xi)], ncols=3)[0]
         out.extend(nash_fiber(so3, (0, 0, 0), [Curve.ray((0, 0, 0), d)]).details)
     for dd in (2, 3):
-        p = _preset(f"vanishing_origin_{dd}").presentation
+        p = load_preset(f"vanishing_origin_{dd}").presentation
         out.extend(nash_fiber(p, tuple(Fraction(0) for _ in range(dd)), seed=0).details)
-    o2 = _preset("order2_r2").presentation
+    o2 = load_preset("order2_r2").presentation
     out.extend(nash_fiber(o2, (0, 0), _order2_curves()).details)
     return out
 
@@ -493,7 +489,7 @@ def criterion_10() -> CriterionResult:
 def _augmented_so3() -> FoliationPresentation:
     """so3 plus the redundant combination x*g1 + y*g2 + z*g3 (the radial
     syzygy, which is the zero field) as a fourth generator."""
-    so3 = _preset("so3_r3").presentation
+    so3 = load_preset("so3_r3").presentation
     x, y, z = (Polynomial.var(v, so3.vars) for v in so3.vars)
     extra = (
         x * so3.generators[0]
@@ -506,7 +502,7 @@ def _augmented_so3() -> FoliationPresentation:
 @lru_cache(maxsize=None)
 def criterion_11() -> CriterionResult:
     title = "fiber images in the isotropy quotient ignore a redundant generator"
-    so3 = _preset("so3_r3").presentation
+    so3 = load_preset("so3_r3").presentation
     aug = _augmented_so3()
     failures = []
     # combination coefficients of the redundant generator, for the bundle map

@@ -26,6 +26,19 @@ def fracs(row: Sequence) -> list[Fraction]:
     return [x if type(x) is Fraction else Fraction(x) for x in row]
 
 
+def primitive(vec: Sequence) -> list[int]:
+    """Coprime integers proportional to ``vec`` (ints or Fractions), first
+    nonzero entry positive; a zero vector stays zero."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    if g == 0:
+        return ints
+    if next(n for n in ints if n) < 0:
+        g = -g
+    return [n // g for n in ints]
+
+
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [fracs(r) for r in rows]
 
@@ -414,15 +427,7 @@ def normalize_poly_vector(vec: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     if g.total_degree() > 0:
         vec = [p.exact_div(g) for p in vec]
     coeffs = [c for p in vec for c in p.terms.values()]
-    if not coeffs:
-        return tuple(vec)
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = lcm(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-    scale = Fraction(den_lcm, num_gcd) if num_gcd else Fraction(den_lcm)
+    scale = primitive(coeffs)[0] / coeffs[0]
     vec = [p * scale for p in vec]
     for p in vec:
         if p.is_zero():

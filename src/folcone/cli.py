@@ -31,7 +31,7 @@ from .foliation import (
     strong_kernel_at,
 )
 from .grassmann import Subspace
-from .hncone import curve_family, hn_fiber, limit_subalgebra_check, nash_fiber, sandwich_check
+from .hncone import curve_family, limit_subalgebra_check, nash_fiber, sandwich_check
 from .poisson import NonFiniteState, cotangent_lift_check, hamiltonian_field, hamiltonian_identity_defect, hn_invariance_test
 from .presets import BUILTIN_NAMES, Preset, PresetError, load_preset
 from .symbols import (
@@ -51,12 +51,8 @@ SCHEMA_VERSION = 1
 # ---------------------------------------------------------------------------
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _vec(v: Sequence[Fraction]) -> list[str]:
-    return [_frac(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _subspace(s: Subspace) -> dict[str, Any]:
@@ -192,7 +188,7 @@ def _ensure_structure(preset: Preset, bound: int | None) -> int | None:
 def cmd_analyze(args) -> int:
     preset = _load(args)
     p = preset.presentation
-    r, is_regular = regular_data(p)
+    r = p.generic_rank()
     bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
     points = args.points or _default_points(p.dim)
     _check_points(preset, points)
@@ -208,14 +204,11 @@ def cmd_analyze(args) -> int:
         "points": [],
     }
     for m in points:
-        entry: dict[str, Any] = {
-            "point": _vec(m),
-            "leaf_dimension": leaf_dimension_at(p, m),
-            "regular": is_regular(m),
-            "strong_kernel": _subspace(strong_kernel_at(p, m, bound)),
-        }
+        leaf_dim = leaf_dimension_at(p, m)
+        entry: dict[str, Any] = {"point": _vec(m), "leaf_dimension": leaf_dim, "regular": leaf_dim == r}
         if p.has_structure():
             iso = isotropy_algebra(p, m, bound)
+            entry["strong_kernel"] = _subspace(iso.sker)
             entry["isotropy"] = {
                 "dim": iso.dim,
                 "kernel_dim": iso.ambient.dim,
@@ -224,6 +217,8 @@ def cmd_analyze(args) -> int:
                     [_vec(cell) for cell in row] for row in iso.bracket_table
                 ],
             }
+        else:
+            entry["strong_kernel"] = _subspace(strong_kernel_at(p, m, bound))
         results["points"].append(entry)
     report = _report_shell(
         args,
@@ -416,7 +411,7 @@ def cmd_elliptic(args) -> int:
                     {
                         "space": _subspace(fv.space),
                         "min": fv.min_value,
-                        "exact_min": _frac(fv.exact_min) if fv.exact_min is not None else None,
+                        "exact_min": str(fv.exact_min) if fv.exact_min is not None else None,
                         "restricted_symbol_zero": fv.restricted_zero,
                         "positive": fv.positive,
                     }

@@ -340,10 +340,6 @@ class Polynomial:
         return f"Polynomial({poly_to_string(self)!r}, vars={self.vars})"
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _term_str(exp: Exponent, c: Fraction, vars: Sequence[str]) -> str:
     mono = []
     for name, e in zip(vars, exp):
@@ -352,12 +348,12 @@ def _term_str(exp: Exponent, c: Fraction, vars: Sequence[str]) -> str:
         elif e > 1:
             mono.append(f"{name}^{e}")
     if not mono:
-        return _frac_str(c)
+        return str(c)
     if c == 1:
         return "*".join(mono)
     if c == -1:
         return "-" + "*".join(mono)
-    return _frac_str(c) + "*" + "*".join(mono)
+    return str(c) + "*" + "*".join(mono)
 
 
 def poly_to_string(p: Polynomial) -> str:

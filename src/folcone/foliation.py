@@ -389,14 +389,17 @@ class IsotropyAlgebra:
         return len(self.quotient_basis)
 
     def class_coordinates(self, v: Sequence) -> Vec:
-        """Coordinates of the class of v (must lie in ker) in the quotient basis."""
-        target = [Fraction(x) for x in v]
-        cols = [list(q) for q in self.quotient_basis] + [list(s) for s in self.sker.basis]
-        rows = [[col[i] for col in cols] for i in range(len(target))]
-        sol = algebra.solve_linear(rows, target)
-        if sol is None:
+        """Coordinates of the class of v (must lie in ker) in the quotient basis.
+
+        The representatives are the reduced-echelon basis of R(ker), where R
+        is the (linear) reduction modulo the strong kernel's basis.  R(v) lies
+        in their span exactly when v lies in ker, and then its entries at
+        their pivot columns are its coordinates.  No linear system is solved.
+        """
+        r = self.sker.reduce(v)
+        if any(Subspace(len(r), self.quotient_basis).reduce(r)):
             raise ValueError("vector does not lie in the kernel at this point")
-        return tuple(sol[: self.dim])
+        return tuple(r[next(i for i, x in enumerate(q) if x)] for q in self.quotient_basis)
 
     def project_subspace(self, v: Subspace) -> Subspace:
         """Image of a subspace of ker in the quotient, as a subspace of Q^dim."""
@@ -435,18 +438,8 @@ def isotropy_algebra(
     if not ker.contains_subspace(sker):
         raise RuntimeError("strong kernel escaped the kernel; inconsistent data")
     # representatives: kernel basis reduced modulo sker, re-echelonized
-    reduced = []
-    for row in ker.basis:
-        r = list(row)
-        for s in sker.basis:
-            lead = next(i for i, x in enumerate(s) if x != 0)
-            if r[lead] != 0:
-                f = r[lead]
-                r = [a - f * b for a, b in zip(r, s)]
-        if any(x != 0 for x in r):
-            reduced.append(r)
-    quotient = make_subspace(reduced, p.num_generators) if reduced else Subspace(p.num_generators, ())
-    reps = quotient.basis
+    reduced = [r for r in map(sker.reduce, ker.basis) if any(r)]
+    reps = make_subspace(reduced, p.num_generators).basis
     g_dim = len(reps)
     table: list[list[Vec]] = [[() for _ in range(g_dim)] for _ in range(g_dim)]
     helper = IsotropyAlgebra(point, ker, sker, reps, (), degree_bound)

@@ -5,7 +5,7 @@ invariant; the normalized Pluecker vector (primitive integers, first nonzero
 entry positive) is computed lazily from it and is the second complete
 invariant used in reports and in limit reconstruction.  All C(N,k)
 coordinates come from one shared-minor pass (``algebra.maximal_minors``) over
-the basis rows cleared to integers; when 2k > N the pass runs on the
+the basis rows scaled to primitive integers; when 2k > N the pass runs on the
 annihilator, whose N - k rows read off the echelon basis, and the
 coordinates follow from p_S(V) = ±p_{S^c}(V°).
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,11 @@ class ZeroPluckerLimit(RuntimeError):
 
 
 class Subspace:
-    """A linear subspace of Q^N with canonical reduced-echelon basis rows."""
+    """A linear subspace of Q^N with canonical reduced-echelon basis rows.
+
+    ``reduce`` is the one reduction modulo that basis: membership tests and
+    the isotropy quotient (``foliation.IsotropyAlgebra``) are built on it.
+    """
 
     __slots__ = ("ambient_dim", "basis", "_plucker")
 
@@ -66,16 +70,22 @@ class Subspace:
             self._plucker = normalize_plucker(plucker_of_basis(self.basis, self.ambient_dim))
         return self._plucker
 
-    def contains_vector(self, v: Sequence) -> bool:
+    def reduce(self, v: Sequence) -> list[Fraction]:
+        """Remainder of v modulo the reduced-echelon basis: v minus, for each
+        row, v's entry at the row's pivot column times the row.  It is zero at
+        every pivot column, and zero exactly when v lies in the subspace."""
         r = algebra.fracs(v)
         if len(r) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         for row in self.basis:
             lead = next(i for i, x in enumerate(row) if x != 0)
-            if r[lead] != 0:
-                f = r[lead]
+            f = r[lead]
+            if f != 0:
                 r = [a - f * b for a, b in zip(r, row)]
-        return all(x == 0 for x in r)
+        return r
+
+    def contains_vector(self, v: Sequence) -> bool:
+        return not any(self.reduce(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self.ambient_dim:
@@ -135,8 +145,10 @@ def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> t
     """Integer vector proportional to the Pluecker vector of the rows' span.
 
     Coordinates follow the lexicographic column subsets; all vanish when the
-    rows are dependent.  The rows are cleared of denominators and every
-    minor comes from one shared-minor pass (``algebra.maximal_minors``).
+    rows are dependent.  Each row is scaled to primitive integers
+    (``algebra.primitive``) and every minor comes from one shared-minor pass
+    (``algebra.maximal_minors``); a row scale of either sign multiplies all
+    minors by one scalar.
     When 2k > N the pass runs on the smaller annihilator V° instead, whose
     standard basis reads off the reduced echelon form of the rows, and
     p_S(V) = eps(S) p_{S^c}(V°) with eps(S) = (-1)^(sum(S) - k(k-1)/2), up to
@@ -144,11 +156,11 @@ def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> t
     """
     k = len(basis)
     if 2 * k <= ambient_dim:
-        return tuple(algebra.maximal_minors([_integer_row(r) for r in basis], ambient_dim))
+        return tuple(algebra.maximal_minors([algebra.primitive(r) for r in basis], ambient_dim))
     red, pivots = algebra.rref(basis)
     if len(pivots) < k:
         return (0,) * comb(ambient_dim, k)
-    dual = [_integer_row(v) for v in algebra.standard_kernel_vectors(red, pivots, ambient_dim)]
+    dual = [algebra.primitive(v) for v in algebra.standard_kernel_vectors(red, pivots, ambient_dim)]
     # complementing the subsets reverses their lexicographic order
     dual_minors = reversed(algebra.maximal_minors(dual, ambient_dim))
     shift = k * (k - 1) // 2
@@ -158,20 +170,12 @@ def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> t
     )
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    den = lcm(*(x.denominator for x in row))
-    return [x.numerator * (den // x.denominator) for x in row]
-
-
 def normalize_plucker(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to primitive integers with the first nonzero entry positive."""
-    ints = _integer_row(vec)
-    g = gcd(*ints)
-    if g == 0:
+    ints = algebra.primitive(vec)
+    if not any(ints):
         raise ZeroPluckerLimit("all Pluecker coordinates vanish")
-    if next(n for n in ints if n) < 0:
-        g = -g
-    return tuple(Fraction(n // g) for n in ints)
+    return tuple(Fraction(n) for n in ints)
 
 
 def reconstruct_from_plucker(vec: Sequence[Fraction], ambient_dim: int, k: int) -> Subspace:

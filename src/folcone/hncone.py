@@ -12,13 +12,20 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
 
 from . import algebra
-from .foliation import FoliationPresentation, IsotropyAlgebra, leaf_dimension_at, strong_kernel_at
+from .foliation import (
+    FoliationPresentation,
+    IsotropyAlgebra,
+    default_strong_kernel_bound,
+    kernel_at,
+    leaf_dimension_at,
+    strong_kernel_at,
+)
 from .grassmann import (
     Curve,
     CurveNotGeneric,
@@ -61,25 +68,6 @@ class HNFiberSample:
 # ---------------------------------------------------------------------------
 
 
-def _primitive(d: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
-    """Scale a rational direction to canonical primitive-integer form."""
-    fr = [Fraction(x) for x in d]
-    if all(x == 0 for x in fr):
-        return None
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    ints = [v // g for v in ints]
-    first = next(v for v in ints if v != 0)
-    if first < 0:
-        ints = [-v for v in ints]
-    return tuple(Fraction(v) for v in ints)
-
-
 def curve_family(
     m: Sequence,
     direction_count: int | None = None,
@@ -99,12 +87,12 @@ def curve_family(
     n = len(center)
     if arc_degree < 1:
         raise ValueError("arc_degree must be >= 1")
-    directions: list[tuple[Fraction, ...]] = []
-    seen: set[tuple[Fraction, ...]] = set()
+    directions: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
 
     def push(d) -> None:
-        prim = _primitive(d)
-        if prim is not None and prim not in seen:
+        prim = tuple(algebra.primitive(d))
+        if any(prim) and prim not in seen:
             seen.add(prim)
             directions.append(prim)
 
@@ -239,13 +227,10 @@ def sandwich_check(
     p: FoliationPresentation, sample: NashFiberSample, degree_bound: int | None = None
 ) -> SandwichReport:
     """Exact check of Sker_D ⊆ V ⊆ ker for every sampled limit."""
-    sker = strong_kernel_at(p, sample.point, degree_bound)
     if degree_bound is None:
-        from .foliation import default_strong_kernel_bound
-
         degree_bound = default_strong_kernel_bound(p)
-    ker_rows = algebra.kernel_basis(p.anchor_at(sample.point), ncols=p.num_generators)
-    ker = Subspace(p.num_generators, tuple(ker_rows))
+    sker = strong_kernel_at(p, sample.point, degree_bound)
+    ker = kernel_at(p, sample.point)
     lower, upper, violations = [], [], []
     for idx, v in enumerate(sample.limits):
         lo = v.contains_subspace(sker)
@@ -287,15 +272,11 @@ def limit_subalgebra_check(
     for idx, v in enumerate(sample.limits):
         vbar = isotropy.project_subspace(v)
         images.append(vbar)
-        closed = True
-        for a_row in vbar.basis:
-            for b_row in vbar.basis:
-                w = isotropy.bracket_coords(a_row, b_row)
-                if not vbar.contains_vector(w):
-                    closed = False
-                    break
-            if not closed:
-                break
+        # the bracket is alternating, so pairs a < b decide closure
+        closed = all(
+            vbar.contains_vector(isotropy.bracket_coords(a_row, b_row))
+            for a_row, b_row in combinations(vbar.basis, 2)
+        )
         codim = isotropy.dim - vbar.dim
         closed_flags.append(closed)
         codim_flags.append(codim == expected_codim)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -238,10 +237,6 @@ def realize(element: UEAElement, p: FoliationPresentation) -> DiffOperator:
     return total
 
 
-def apply_operator(d: DiffOperator, f: Polynomial) -> Polynomial:
-    return d.apply(f)
-
-
 # ---------------------------------------------------------------------------
 # Symbols
 # ---------------------------------------------------------------------------
@@ -450,60 +445,32 @@ class EllipticityReport:
         return all(pv.elliptic for pv in self.points)
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    return [d for d in range(1, n + 1) if n % d == 0] or [1]
+def _rational_roots(coeffs: Sequence[Fraction], approx: Sequence[float]) -> list[Fraction] | None:
+    """All roots, with multiplicity, of the polynomial with ascending
+    ``coeffs``, snapped from one float approximation per root; else None.
 
-
-def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction] | None:
-    """All roots, with multiplicity, when the polynomial splits over Q; else None.
-
-    ``coeffs`` are ascending.  Rational-root search on the primitive integer
-    form, deflating by (x - root) until the degree is exhausted.
+    Each approximation is snapped with ``limit_denominator`` at the bounds
+    10^0 ... 10^15 in turn, and a candidate counts only when exact deflation
+    by (x - candidate) leaves remainder 0, so every returned root is exact.
+    None means the polynomial does not split over Q, or a rational root has
+    an approximation too coarse for any bound to recover it.
     """
-    work = [Fraction(c) for c in coeffs]
-    while work and work[-1] == 0:
-        work.pop()
-    if len(work) <= 1:
-        return None
+    work = list(reversed(coeffs))  # descending, for synthetic division
     roots: list[Fraction] = []
-    while len(work) > 1:
-        if work[0] == 0:
-            roots.append(Fraction(0))
-            work = work[1:]
-            continue
-        den = 1
-        for c in work:
-            den = lcm(den, c.denominator)
-        ints = [int(c * den) for c in work]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        ints = [v // g for v in ints]
-        found = None
-        for pnum in _divisors(ints[0]):
-            for qden in _divisors(ints[-1]):
-                for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                    val = Fraction(0)
-                    for c in reversed(ints):
-                        val = val * cand + c
-                    if val == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
+    for value in approx:
+        for bound in (10**e for e in range(16)):
+            cand = Fraction(value).limit_denominator(bound)
+            acc, quotient = Fraction(0), []
+            for c in work:
+                acc = acc * cand + c
+                quotient.append(acc)
+            if quotient.pop() == 0:
+                roots.append(cand)
+                work = quotient
                 break
-        if found is None:
+        else:
             return None
-        roots.append(found)
-        # deflate: p = (x - root) * q with q[i] = p[i+1] + root * q[i+1]
-        q = [Fraction(0)] * (len(work) - 1)
-        q[-1] = Fraction(ints[-1])
-        for i in range(len(work) - 3, -1, -1):
-            q[i] = Fraction(ints[i + 1]) + found * q[i + 1]
-        work = q
-    return roots
+    return roots if len(work) == 1 else None
 
 
 def _gram_of_quadratic(q: Polynomial, r: int) -> list[list[Fraction]]:
@@ -533,10 +500,13 @@ def _sylvester_positive_definite(m: list[list[Fraction]]) -> bool:
 def _pencil_minimum(
     g: list[list[Fraction]], gram: list[list[Fraction]], tol: Fraction
 ) -> tuple[float, Fraction | None, bool]:
-    """(float min, exact min if the pencil splits over Q, verdict min > tol).
+    """(float min, exact min or None, verdict min > tol).
 
     Minimizes u^T G u over the ellipsoid u^T M u = 1 (M = Gram of the basis),
-    i.e. the smallest generalized eigenvalue of (G, M).
+    i.e. the smallest generalized eigenvalue of (G, M).  The float
+    eigenvalues are snapped to exact roots of det(G - lam M)
+    (``_rational_roots``); when that fails the verdict comes from Sylvester's
+    criterion on G - tol M instead, and the exact min is None.
     """
     r = len(g)
     lam_vars = ("lam",)
@@ -549,14 +519,15 @@ def _pencil_minimum(
     coeffs = [Fraction(0)] * (char.total_degree() + 1)
     for exp, c in char.terms.items():
         coeffs[exp[0]] = c
-    roots = _rational_roots(list(coeffs))
-    exact_min = min(roots) if roots else None
     g_np = np.array([[float(x) for x in row] for row in g])
     m_np = np.array([[float(x) for x in row] for row in gram])
     chol = np.linalg.cholesky(m_np)
     inv = np.linalg.inv(chol)
     reduced = inv @ g_np @ inv.T
-    float_min = float(np.linalg.eigvalsh((reduced + reduced.T) / 2).min())
+    eigenvalues = np.linalg.eigvalsh((reduced + reduced.T) / 2)
+    float_min = float(eigenvalues.min())
+    roots = _rational_roots(coeffs, eigenvalues.tolist())
+    exact_min = min(roots) if roots else None
     if exact_min is not None:
         positive = exact_min > tol
         float_min = float(exact_min)

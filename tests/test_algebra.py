@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -108,6 +109,22 @@ class TestRationalLinearAlgebra:
             cols = rng.randint(1, 5)
             m = [[Fraction(rng.randint(-3, 3)) for _ in range(cols)] for _ in range(3)]
             assert algebra.rank(m) + len(algebra.kernel_basis(m)) == cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))), max_size=6))
+def test_primitive_is_the_canonical_integer_multiple(vec):
+    ints = algebra.primitive(vec)
+    assert all(type(n) is int for n in ints) and len(ints) == len(vec)
+    if not any(vec):
+        assert ints == [0] * len(vec)
+        return
+    assert math.gcd(*ints) == 1
+    assert next(n for n in ints if n) > 0
+    # proportional: every 2x2 minor of (vec, ints) vanishes
+    assert all(vec[i] * ints[j] == vec[j] * ints[i] for i in range(len(vec)) for j in range(len(vec)))
+    assert algebra.primitive(ints) == ints
+    assert algebra.primitive([-3 * x for x in vec]) == ints
 
 
 class TestSolveLinear:

@@ -188,6 +188,15 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["results"]["elliptic"] is True
 
+    def test_elliptic_large_coefficient_exact(self, capsys):
+        # a ten-digit coefficient: the exact minima come from snapped eigenvalues, not a divisor search
+        code, out, _ = run_cli(
+            capsys, "elliptic", "so3_r3", "--op", "1000000007*g1.g1+g2.g2+3*g3.g3", "--points", "0,0,0"
+        )
+        assert code == 0
+        fibers = json.loads(out)["results"]["points"][0]["fibers"]
+        assert fibers and {f["exact_min"] for f in fibers} <= {"1", "2", "3"}
+
     def test_usage_errors_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "nonexistent_preset")
         assert code == 2 and "unknown preset" in err
@@ -244,8 +253,25 @@ class TestCommands:
                 "785178aadd2beb8b2f33ed5f07e3978f250ceda4a4dd79e1cb43a7da76edbef5",
                 36116,
             ),
+            # a 16-dimensional isotropy algebra: 256 bracket values through class_coordinates
+            (
+                ("analyze", "r4_counterexample", "--points", "0,0,0,0", "--seed", "0"),
+                "ed4794bb1169ac2b41cc0abe3bcc1a91c8a03cbbf254c69df86606b8aa44ae7e",
+                95821,
+            ),
+            # quadratic symbol: exact pencil minima
+            (
+                ("elliptic", "so3_r3", "--op", "g1.g1+g2.g2+g3.g3", "--points", "0,0,0;1,0,0", "--seed", "0"),
+                "2243faa8c599049fccd011ae15d33614e494c59595db68a4d89303bea7e5e2d6",
+                6918,
+            ),
         ],
-        ids=["hn-fiber-vanishing_origin_3", "analyze-r4_counterexample"],
+        ids=[
+            "hn-fiber-vanishing_origin_3",
+            "analyze-r4_counterexample",
+            "analyze-r4_counterexample-origin",
+            "elliptic-so3_r3",
+        ],
     )
     def test_golden_reports(self, capsys, argv, sha256, size):
         code, out, _ = run_cli(capsys, *argv)

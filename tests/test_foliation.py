@@ -1,7 +1,11 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from folcone import algebra
 from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
 from folcone.foliation import (
     FoliationPresentation,
@@ -42,6 +46,17 @@ def fresh_gl2():
 def fresh_order2():
     texts = ["x^2*d/dx", "y^2*d/dx", "x*y*d/dx", "x^2*d/dy", "y^2*d/dy", "x*y*d/dy"]
     return FoliationPresentation(XY, tuple(parse_vector_field(t, XY) for t in texts), name="order2")
+
+
+def fresh_so3_augmented():
+    # a redundant generator x X1 + y X2 + z X3 gives a one-dimensional strong
+    # kernel at the origin inside a three-dimensional isotropy algebra
+    so3 = fresh_so3()
+    x, y, z = (Polynomial.var(v, XYZ) for v in XYZ)
+    extra = x * so3.generators[0] + y * so3.generators[1] + z * so3.generators[2]
+    aug = FoliationPresentation(XYZ, so3.generators + (extra,), name="so3_aug")
+    solve_structure_functions(aug)
+    return aug
 
 
 class TestAnchor:
@@ -268,11 +283,7 @@ class TestIsotropy:
     def test_bracket_well_defined_modulo_strong_kernel(self):
         # augmented rotation preset: the redundant zero generator creates a
         # nonzero strong kernel at the origin, so representative changes matter
-        so3 = fresh_so3()
-        x, y, z = (Polynomial.var(v, XYZ) for v in XYZ)
-        extra = x * so3.generators[0] + y * so3.generators[1] + z * so3.generators[2]
-        aug = FoliationPresentation(XYZ, so3.generators + (extra,), name="so3_aug")
-        solve_structure_functions(aug)
+        aug = fresh_so3_augmented()
         iso = isotropy_algebra(aug, (0, 0, 0))
         assert iso.sker.dim == 1 and iso.dim == 3
         sker_vec = iso.sker.basis[0]
@@ -315,3 +326,52 @@ def test_membership_identity_for_stored_structure():
             bracket = p.bracket(i, j)
             for lhs, rhs in zip(combo_components, bracket.components):
                 assert lhs == rhs
+
+
+ISOTROPY_CASES = (
+    ("so3_r3", (0, 0, 0)),
+    ("so3_r3", (1, 2, -1)),
+    ("vanishing_origin_3", (0, 0, 0)),
+    ("vanishing_origin_3", (1, -2, 3)),
+    ("order2_r2", (0, 0)),
+    ("order2_r2", (2, -1)),
+    (None, (0, 0, 0)),  # fresh_so3_augmented: strong kernel and quotient both nonzero
+)
+
+
+@lru_cache(maxsize=None)
+def isotropy_case(index):
+    name, m = ISOTROPY_CASES[index]
+    p = fresh_so3_augmented() if name is None else load_preset(name).presentation
+    if not p.has_structure():
+        solve_structure_functions(p)
+    return isotropy_algebra(p, m)
+
+
+def solve_oracle(iso, v):
+    """Quotient coordinates of v from one linear solve against the
+    representatives and the strong-kernel basis; None outside ker."""
+    cols = iso.quotient_basis + iso.sker.basis
+    sol = algebra.solve_linear([[col[i] for col in cols] for i in range(len(v))], v)
+    return None if sol is None else sol[: iso.dim]
+
+
+small_fraction = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, len(ISOTROPY_CASES) - 1), st.data())
+def test_class_coordinates_match_a_linear_solve(index, data):
+    iso = isotropy_case(index)
+    n = iso.ambient.ambient_dim
+    coeffs = data.draw(st.lists(small_fraction, min_size=iso.ambient.dim, max_size=iso.ambient.dim))
+    v = [sum((c * row[i] for c, row in zip(coeffs, iso.ambient.basis)), Fraction(0)) for i in range(n)]
+    assert iso.class_coordinates(v) == solve_oracle(iso, v)
+    # an arbitrary vector: the same coordinates, or a ValueError outside ker
+    w = data.draw(st.lists(small_fraction, min_size=n, max_size=n))
+    expected = solve_oracle(iso, w)
+    if expected is None:
+        with pytest.raises(ValueError):
+            iso.class_coordinates(w)
+    else:
+        assert iso.class_coordinates(w) == expected

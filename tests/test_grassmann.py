@@ -163,6 +163,21 @@ class TestPluckerOfBasis:
         assert s.plucker == plucker_oracle(s.basis, 10) == plucker_oracle(rows, 10)
 
 
+class TestReduce:
+    @settings(max_examples=150, deadline=None)
+    @given(bases(), st.data())
+    def test_remainder_modulo_the_echelon_basis(self, case, data):
+        rows, n = case
+        s = make_subspace(rows, n)
+        v = data.draw(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)), min_size=n, max_size=n))
+        r = s.reduce(v)
+        pivots = [next(i for i, x in enumerate(row) if x) for row in s.basis]
+        assert all(r[c] == 0 for c in pivots)
+        # v - r lies in the span, and r vanishes exactly when v does
+        assert algebra.rank(list(s.basis) + [[a - b for a, b in zip(v, r)]]) == s.dim
+        assert (not any(r)) == (algebra.rank(list(s.basis) + [v]) == s.dim) == s.contains_vector(v)
+
+
 class TestAnnihilator:
     def test_line_in_three_space(self):
         v = annihilator(make_subspace([(1, 0, 0)]))

@@ -7,6 +7,7 @@ from folcone.expr import Polynomial
 from folcone.foliation import FoliationPresentation, isotropy_algebra, solve_structure_functions
 from folcone.grassmann import Curve, annihilator, make_subspace
 from folcone.hncone import (
+    NashFiberSample,
     curve_family,
     hn_fiber,
     hn_membership_distance,
@@ -169,6 +170,17 @@ class TestChecks:
         report = limit_subalgebra_check(p, sample, iso)
         assert report.ok and report.expected_codim == 2
         assert all(v.dim == 2 for v in report.images)
+
+    def test_subalgebra_not_closed_is_reported(self):
+        # span(e1, e2) in so(3): [e1, e2] = +-e3 leaves the plane
+        p = so3()
+        origin = (Fraction(0),) * 3
+        plane = make_subspace([(1, 0, 0), (0, 1, 0)], 3)
+        sample = NashFiberSample(origin, (plane,), (), ())
+        report = limit_subalgebra_check(p, sample, isotropy_algebra(p, origin))
+        assert report.closed == (False,)
+        assert "limit 0: image not closed under the isotropy bracket" in report.violations
+        assert not report.ok
 
     def test_point_mismatch_rejected(self):
         p = so3()

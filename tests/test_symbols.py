@@ -22,6 +22,7 @@ from folcone.symbols import (
     symbol_top,
     uea_product,
 )
+from folcone.symbols import _rational_roots
 
 XYZ = ("x", "y", "z")
 
@@ -376,6 +377,19 @@ class TestEllipticity:
             ellipticity_check(
                 element_from("sos", pre), pre.presentation, [(1, 0, 0)], convention="bogus"
             )
+
+    def test_rational_roots_snap_from_floats(self):
+        roots = [Fraction(1000000007, 3), Fraction(-2, 5), Fraction(7)]
+        coeffs = [Fraction(1)]  # ascending coefficients of prod (x - root)
+        for root in roots:
+            coeffs = [a - root * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        assert len(coeffs) == 4 and all(sum(c * r**i for i, c in enumerate(coeffs)) == 0 for r in roots)
+        found = _rational_roots(coeffs, [float(r) for r in roots])
+        assert sorted(found) == sorted(roots)
+
+    def test_rational_roots_none_when_irrational(self):
+        # x^2 - 2: no snap of +-1.41421356... is an exact root
+        assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)], [-(2**0.5), 2**0.5]) is None
 
     def test_quartic_sphere_sampling(self):
         pre = so3_preset()
