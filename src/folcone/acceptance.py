@@ -24,8 +24,8 @@ from .foliation import (
     regular_data,
     solve_structure_functions,
 )
-from .grassmann import Curve, Subspace, annihilator, make_subspace
-from .hncone import hn_fiber, limit_subalgebra_check, nash_fiber, sandwich_check
+from .grassmann import Curve, Subspace, annihilator, make_subspace, principal_angle
+from .hncone import curve_family, hn_fiber, limit_subalgebra_check, nash_fiber, sandwich_check
 from .poisson import cotangent_lift_check, hamiltonian_field, hamiltonian_identity_defect, hn_invariance_test
 from .presets import load_preset
 from .symbols import (
@@ -93,19 +93,27 @@ def criterion_1() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def criterion_2() -> CriterionResult:
-    title = "so3 fiber at the origin covers every covector via an orthogonal ray"
-    so3 = load_preset("so3_r3").presentation
+def _orthogonal_rays() -> list[tuple[tuple[Fraction, ...], Curve]]:
+    """Ten seeded covectors xi of so3_r3, each with a ray at the origin orthogonal to it."""
     rng = random.Random(2)
-    failures = []
-    covered = 0
-    for trial in range(10):
+    out = []
+    for _ in range(10):
         xi = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
         if all(x == 0 for x in xi):
             xi = (Fraction(1), Fraction(0), Fraction(0))
         d = algebra.kernel_basis([list(xi)], ncols=3)[0]
-        sample = hn_fiber(so3, (0, 0, 0), [Curve.ray((0, 0, 0), d)])
+        out.append((xi, Curve.ray((0, 0, 0), d)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def criterion_2() -> CriterionResult:
+    title = "so3 fiber at the origin covers every covector via an orthogonal ray"
+    so3 = load_preset("so3_r3").presentation
+    failures = []
+    covered = 0
+    for trial, (xi, ray) in enumerate(_orthogonal_rays()):
+        sample = hn_fiber(so3, (0, 0, 0), [ray])
         if len(sample.spaces) != 1:
             failures.append(f"trial {trial}: ray rejected")
             continue
@@ -326,12 +334,12 @@ def criterion_7() -> CriterionResult:
         if not sample.limits:
             failures.append(f"{name}: empty sample")
             continue
-        sw = sandwich_check(p, sample)
-        if not sw.ok:
-            failures.append(f"{name}: {sw.violations[0]}")
         if not p.has_structure():
             solve_structure_functions(p)
         iso = isotropy_algebra(p, point)
+        sw = sandwich_check(p, sample, iso.sker)
+        if not sw.ok:
+            failures.append(f"{name}: {sw.violations[0]}")
         sub = limit_subalgebra_check(p, sample, iso)
         if not sub.ok:
             failures.append(f"{name}: {sub.violations[0]}")
@@ -424,25 +432,48 @@ def criterion_9() -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def _limit_details():
-    """All LimitDetail records produced while reproducing criteria 1-4."""
-    out = []
+T_FLOAT = 1e-4
+T_EXACT = Fraction(1, 10**4)
+
+
+def _accepted_curves() -> list[tuple[FoliationPresentation, Curve, Subspace]]:
+    """(presentation, curve, limit) for every accepted curve of the criteria 1-4 inputs."""
     so3 = load_preset("so3_r3").presentation
-    for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1)):
-        out.extend(nash_fiber(so3, v, seed=0).details)
-    rng = random.Random(2)
-    for _ in range(10):
-        xi = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(3))
-        if all(x == 0 for x in xi):
-            xi = (Fraction(1), Fraction(0), Fraction(0))
-        d = algebra.kernel_basis([list(xi)], ncols=3)[0]
-        out.extend(nash_fiber(so3, (0, 0, 0), [Curve.ray((0, 0, 0), d)]).details)
-    for dd in (2, 3):
-        p = load_preset(f"vanishing_origin_{dd}").presentation
-        out.extend(nash_fiber(p, tuple(Fraction(0) for _ in range(dd)), seed=0).details)
-    o2 = load_preset("order2_r2").presentation
-    out.extend(nash_fiber(o2, (0, 0), _order2_curves()).details)
+    suites = [(so3, v, curve_family(v, seed=0)) for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1))]
+    suites += [(so3, (0, 0, 0), [ray]) for _, ray in _orthogonal_rays()]
+    for d in (2, 3):
+        p, origin = load_preset(f"vanishing_origin_{d}").presentation, (0,) * d
+        suites.append((p, origin, curve_family(origin, seed=0)))
+    suites.append((load_preset("order2_r2").presentation, (0, 0), _order2_curves()))
+    out = []
+    for p, point, curves in suites:
+        sample = nash_fiber(p, point, curves)
+        out += [
+            (p, curve, sample.limits[rec.limit_index])
+            for curve, rec in zip(curves, sample.curves_used)
+            if rec.accepted
+        ]
     return out
+
+
+def float_limit_angles(anchor: algebra.PolyMatrix, curve: Curve, limit: Subspace) -> tuple[float, float]:
+    """Float oracle of one exact limit of ker M(x(t)), at t = 1e-4.
+
+    Returns (a) the largest principal angle between the numpy-SVD null space
+    of M(x(1e-4)), evaluated in floats, and the exact kernel at x(1/10^4);
+    (b) the angle between the Pluecker vectors of that exact kernel and of
+    the limit.  (b) is the same on the annihilator side by Hodge duality.
+    Both are inf when the exact kernel's dimension is not the limit's.
+    """
+    n = len(anchor[0])
+    at_t = algebra.eval_poly_matrix(anchor, curve.eval(T_EXACT))
+    exact = Subspace(n, tuple(algebra.kernel_basis(at_t, ncols=n)))
+    if exact.dim != limit.dim:
+        return float("inf"), float("inf")
+    x = [c.eval_float([T_FLOAT]) for c in curve.components]
+    _, _, vt = np.linalg.svd(np.array([[e.eval_float(x) for e in row] for row in anchor], dtype=float))
+    svd_angle = principal_angle(vt[n - limit.dim :], exact.basis_floats())
+    return svd_angle, _angle(np.array(exact.plucker, dtype=float), np.array(limit.plucker, dtype=float))
 
 
 def _angle(u: np.ndarray, v: np.ndarray) -> float:
@@ -455,29 +486,25 @@ def _angle(u: np.ndarray, v: np.ndarray) -> float:
 
 @lru_cache(maxsize=None)
 def criterion_10() -> CriterionResult:
-    title = "exact-vs-float agreement of the Pluecker pipeline at t=1e-4"
-    t_float = 1e-4
-    t_exact = Fraction(1, 10**4)
+    title = "float oracle of every accepted limit at t=1e-4: SVD kernel and Pluecker angles"
     failures = []
-    max_pipeline = 0.0
+    max_svd = 0.0
     max_convergence = 0.0
-    for detail in _limit_details():
-        float_vec = np.array([p.eval_float([t_float]) for p in detail.plucker_polys])
-        exact_vec = np.array([float(p.eval([t_exact])) for p in detail.plucker_polys])
-        a = _angle(float_vec, exact_vec)
-        max_pipeline = max(max_pipeline, a)
-        if not (a < 1e-6):
-            failures.append(f"pipeline angle {a:.3e} for {detail.side} side")
-        limit_vec = np.array([float(x) for x in detail.side_limit_plucker])
-        b = _angle(float_vec, limit_vec)
+    accepted = _accepted_curves()
+    for p, curve, limit in accepted:
+        a, b = float_limit_angles(p.anchor(), curve, limit)
+        max_svd = max(max_svd, a)
         max_convergence = max(max_convergence, b)
+        if not (a < 1e-6):
+            failures.append(f"{p.name} {curve.label}: SVD-vs-exact kernel angle {a:.3e}")
         if not (b < 1e-2):
-            failures.append(f"convergence angle {b:.3e} for {detail.side} side")
+            failures.append(f"{p.name} {curve.label}: kernel-to-limit Pluecker angle {b:.3e}")
     return _result(
         10,
         title,
         failures,
-        f"max float-vs-exact angle {max_pipeline:.2e}; max distance-to-limit angle {max_convergence:.2e}",
+        f"{len(accepted)} accepted curves; max SVD-vs-exact kernel angle {max_svd:.2e}; "
+        f"max kernel-to-limit Pluecker angle {max_convergence:.2e}",
     )
 
 

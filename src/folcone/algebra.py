@@ -470,27 +470,3 @@ def kernel_basis_over_curve(m_t: PolyMatrix) -> list[tuple[Polynomial, ...]]:
                 v[pivot_cols[i]] = -d
         basis.append(normalize_poly_vector(v))
     return basis
-
-
-# ---------------------------------------------------------------------------
-# Univariate helpers for limits in t
-# ---------------------------------------------------------------------------
-
-
-def t_valuation(p: Polynomial) -> int | None:
-    """Order of vanishing at t = 0 of a univariate polynomial; None for zero."""
-    if p.is_zero():
-        return None
-    return min(e[0] for e in p.terms)
-
-
-def t_shift_down(p: Polynomial, v: int) -> Polynomial:
-    """Divide a univariate polynomial by t^v (exact)."""
-    if v == 0 or p.is_zero():
-        return p
-    terms = {}
-    for e, c in p.terms.items():
-        if e[0] < v:
-            raise ValueError("valuation shift below zero")
-        terms[(e[0] - v,)] = c
-    return Polynomial(p.vars, terms)

@@ -273,18 +273,19 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
         covector_spaces = tuple(annihilator(v) for v in sample.limits)
         results["covector_spaces"] = [_subspace(s) for s in covector_spaces]
         spaces = covector_spaces
-        bound = args.degree_bound
-        sw = sandwich_check(p, sample, bound)
+        bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
+        structure_bound = _ensure_structure(preset, None)
+        # one strong-kernel solve: the isotropy algebra's, when structure exists
+        iso = isotropy_algebra(p, m, bound) if p.has_structure() else None
+        sw = sandwich_check(p, sample, iso.sker if iso is not None else strong_kernel_at(p, m, bound))
         results["sandwich"] = {
             "ok": sw.ok,
-            "degree_bound": sw.degree_bound,
+            "degree_bound": bound,
             "violations": list(sw.violations),
         }
         if not sw.ok:
             exit_code = 1
-        structure_bound = _ensure_structure(preset, None)
-        if preset.presentation.has_structure():
-            iso = isotropy_algebra(p, m, bound)
+        if iso is not None:
             sub = limit_subalgebra_check(p, sample, iso)
             results["subalgebra"] = {
                 "ok": sub.ok,

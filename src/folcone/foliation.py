@@ -85,16 +85,6 @@ class FoliationPresentation:
     def has_structure(self) -> bool:
         return self.structure_functions is not None
 
-    def ensure_structure(self, degree_bound: int | None = None) -> "FoliationPresentation":
-        """Solve for structure functions if absent; raises when none found."""
-        if self.structure_functions is None:
-            c = solve_structure_functions(self, degree_bound)
-            if c is None:
-                raise MissingStructureFunctions(
-                    f"no polynomial structure functions found at bound {degree_bound}"
-                )
-        return self
-
     def structure_at(self, i: int, j: int, m: Sequence) -> Vec:
         if self.structure_functions is None:
             raise MissingStructureFunctions("structure functions unavailable")
@@ -441,12 +431,15 @@ def isotropy_algebra(
     reduced = [r for r in map(sker.reduce, ker.basis) if any(r)]
     reps = make_subspace(reduced, p.num_generators).basis
     g_dim = len(reps)
-    table: list[list[Vec]] = [[() for _ in range(g_dim)] for _ in range(g_dim)]
+    # the table is antisymmetric (structure_defect enforces c_ij = -c_ji):
+    # fill the pairs a < b, zero the diagonal and negate for b > a
+    table: list[list[Vec]] = [[(Fraction(0),) * g_dim for _ in range(g_dim)] for _ in range(g_dim)]
     helper = IsotropyAlgebra(point, ker, sker, reps, (), degree_bound)
     for a in range(g_dim):
-        for b in range(g_dim):
+        for b in range(a + 1, g_dim):
             w = _constant_lift_bracket_value(p, reps[a], reps[b], point)
             table[a][b] = helper.class_coordinates(w)
+            table[b][a] = tuple(-x for x in table[a][b])
     return IsotropyAlgebra(
         point, ker, sker, reps, tuple(tuple(row) for row in table), degree_bound
     )

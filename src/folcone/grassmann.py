@@ -3,19 +3,20 @@
 A ``Subspace`` is stored by its reduced-echelon basis, which is a complete
 invariant; the normalized Pluecker vector (primitive integers, first nonzero
 entry positive) is computed lazily from it and is the second complete
-invariant used in reports and in limit reconstruction.  All C(N,k)
+invariant used in reports.  All C(N,k)
 coordinates come from one shared-minor pass (``algebra.maximal_minors``) over
 the basis rows scaled to primitive integers; when 2k > N the pass runs on the
 annihilator, whose N - k rows read off the echelon basis, and the
 coordinates follow from p_S(V) = ±p_{S^c}(V°).
 
-Limits of kernels along polynomial arcs t -> x(t) are computed exactly:
-substitute the arc, take a polynomial basis of the relevant space over Q(t),
-form its Pluecker vector (a polynomial vector in t, from the same shared-minor
-pass over Q[t]), strip the common power
-of t, and read off the value at t = 0.  The limit of the kernel family is
-computed on whichever side of the annihilator duality is smaller (kernel of
-the matrix, or its row space), which give the same subspace.
+Limits of kernels along polynomial arcs t -> x(t) are computed exactly by
+saturating the arc's row lattice at t = 0: the pivot rows R(t) of M(x(t))
+span its row space over Q(t), and while R(0) is rank-deficient a constant
+left-kernel vector c of R(0) replaces one row by (c^T R(t))/t.  This is a
+Hermite form over the local ring Q[t]_(t); the last R(0) spans the limit row
+space and the limit kernel is ker R(0).  No Pluecker vector over Q[t] is
+formed.  ``kernel_basis_over_curve`` with ``reconstruct_from_plucker`` is the
+older Pluecker route, kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -129,11 +130,8 @@ def make_subspace(vectors: Sequence[Sequence], ambient_dim: int | None = None) -
 
 def annihilator(v: Subspace) -> Subspace:
     """The annihilator V° in the dual, dim(V°) = N - dim(V)."""
-    n = v.ambient_dim
-    if v.dim == 0:
-        return make_subspace([tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)], n)
-    rows = algebra.kernel_basis([list(r) for r in v.basis], ncols=n)
-    return Subspace(n, tuple(rows))
+    rows = algebra.kernel_basis(v.basis, ncols=v.ambient_dim)
+    return Subspace(v.ambient_dim, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -292,26 +290,23 @@ class Curve:
 
 @dataclass(frozen=True)
 class LimitDetail:
-    """Full record of one limit computation (used by the float cross-check)."""
+    """Record of one limit computation."""
 
-    limit: Subspace                       # limit of the kernel family
-    side: str                             # "kernel" or "image"
-    side_dim: int                         # dimension of the space the Pluecker data describes
-    plucker_polys: tuple[Polynomial, ...]  # un-normalized Pluecker vector in t
-    valuation: int                        # common power of t removed
-    side_limit_plucker: tuple[Fraction, ...]  # normalized exact limit on that side
-
-
-def _poly_rows_pluecker(rows: Sequence[Sequence[Polynomial]], n_cols: int) -> tuple[Polynomial, ...]:
-    if not rows:
-        return (Polynomial.one(_T_VARS),)
-    return tuple(algebra.maximal_minors(rows, n_cols))
+    limit: Subspace  # limit of the kernel family
+    valuation: int   # saturation steps: t-valuation of the maximal minors of R(t)
 
 
 def limit_along_curve_detailed(
     m: PolyMatrix, curve: Curve, expected_dim: int, vars: Sequence[str] | None = None
 ) -> LimitDetail:
-    """Exact limit of ker M(x(t)) as t -> 0, with the Pluecker polynomials.
+    """Exact limit of ker M(x(t)) as t -> 0, by saturating the row lattice at t = 0.
+
+    R(t) are the rows of M(x(t)) at the Bareiss pivots, a Q[t]-basis of its
+    row space over Q(t).  While R(0) is rank-deficient, a left-kernel vector
+    c of R(0) makes c^T R(t) divisible by t, and (c^T R(t))/t replaces a row
+    j with c_j != 0.  Each step lowers the t-valuation of the maximal minors
+    of R(t) by one, so the loop ends, with R(0) spanning the limit row space;
+    the limit is ker R(0).
 
     The curve must be generically regular: the kernel of M(x(t)) over Q(t)
     must have dimension exactly ``expected_dim``; otherwise CurveNotGeneric.
@@ -320,43 +315,36 @@ def limit_along_curve_detailed(
         if not m or not m[0]:
             raise ValueError("cannot infer variables from an empty matrix")
         vars = m[0][0].vars
-    sub = curve.substitution(vars)
-    m_t = algebra.subs_poly_matrix(m, sub)
+    m_t = algebra.subs_poly_matrix(m, curve.substitution(vars))
     n_cols = len(m_t[0]) if m_t else 0
     needed_rank = n_cols - expected_dim
     if needed_rank < 0:
         raise CurveNotGeneric(f"expected_dim {expected_dim} exceeds ambient {n_cols}")
+    _, pivot_cols, pivot_rows = algebra.bareiss_echelon(m_t)
+    rank = len(pivot_cols)
+    if rank != needed_rank:
+        if expected_dim <= needed_rank:
+            reason = f"kernel over Q(t) has dimension {n_cols - rank}, expected {expected_dim}"
+        else:
+            reason = f"rank over Q(t) is {rank}, expected {needed_rank}"
+        raise CurveNotGeneric(f"{reason} ({curve.label})")
 
-    if expected_dim <= needed_rank:
-        rows = algebra.kernel_basis_over_curve(m_t)
-        if len(rows) != expected_dim:
-            raise CurveNotGeneric(
-                f"kernel over Q(t) has dimension {len(rows)}, expected {expected_dim} ({curve.label})"
-            )
-        side = "kernel"
-        side_dim = expected_dim
-    else:
-        ech, pivot_cols, _ = algebra.bareiss_echelon(m_t)
-        if len(pivot_cols) != needed_rank:
-            raise CurveNotGeneric(
-                f"rank over Q(t) is {len(pivot_cols)}, expected {needed_rank} ({curve.label})"
-            )
-        rows = [algebra.normalize_poly_vector(r) for r in ech]
-        side = "image"
-        side_dim = needed_rank
-
-    pl = _poly_rows_pluecker(rows, n_cols)
-    vals = [algebra.t_valuation(p) for p in pl]
-    nz_vals = [v for v in vals if v is not None]
-    if not nz_vals:
-        raise ZeroPluckerLimit(f"Pluecker polynomial vanished identically ({curve.label})")
-    v0 = min(nz_vals)
-    shifted = [algebra.t_shift_down(p, v0) if not p.is_zero() else p for p in pl]
-    limit_vec = [p.constant_term() for p in shifted]
-    side_plucker = normalize_plucker(limit_vec)
-    side_space = reconstruct_from_plucker(side_plucker, n_cols, side_dim)
-    limit = side_space if side == "kernel" else annihilator(side_space)
-    return LimitDetail(limit, side, side_dim, pl, v0, side_plucker)
+    # R(t) = sum_d t^d R_d, kept as its coefficient matrices R_d
+    depth = 1 + max((e[0] for i in pivot_rows for q in m_t[i] for e in q.terms), default=0)
+    coeffs = [[[q.coefficient((d,)) for q in m_t[i]] for i in pivot_rows] for d in range(depth)]
+    steps = 0
+    while True:
+        red, pivots = algebra.rref(algebra.transpose(coeffs[0]))
+        if len(pivots) == rank:
+            break
+        c = algebra.standard_kernel_vectors(red, pivots, rank)[0]
+        j = next(i for i, x in enumerate(c) if x)
+        # c^T R(t) vanishes at t = 0; its coefficients of t, t^2, ... become row j
+        shifted = [algebra.mat_vec(algebra.transpose(r_d), c) for r_d in coeffs[1:]]
+        for r_d, row in zip(coeffs, shifted + [(Fraction(0),) * n_cols]):
+            r_d[j] = row
+        steps += 1
+    return LimitDetail(Subspace(n_cols, tuple(algebra.kernel_basis(coeffs[0], ncols=n_cols))), steps)
 
 
 def limit_along_curve(
@@ -377,10 +365,16 @@ def subspace_distance(v: Subspace, w: Subspace) -> float:
         raise ValueError("ambient dimension mismatch")
     if v.dim != w.dim:
         raise ValueError("subspace dimension mismatch")
-    if v.dim == 0:
+    return principal_angle(v.basis_floats(), w.basis_floats())
+
+
+def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest principal angle between the row spans of two float matrices
+    with independent rows, the same number of each."""
+    if len(a) == 0:
         return 0.0
-    q1, _ = np.linalg.qr(v.basis_floats().T)
-    q2, _ = np.linalg.qr(w.basis_floats().T)
+    q1, _ = np.linalg.qr(a.T)
+    q2, _ = np.linalg.qr(b.T)
     sigma = np.linalg.svd(q1.T @ q2, compute_uv=False)
     smin = float(np.clip(sigma.min(), -1.0, 1.0))
     return float(np.arccos(smin))

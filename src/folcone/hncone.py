@@ -18,22 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
-from .foliation import (
-    FoliationPresentation,
-    IsotropyAlgebra,
-    default_strong_kernel_bound,
-    kernel_at,
-    leaf_dimension_at,
-    strong_kernel_at,
-)
-from .grassmann import (
-    Curve,
-    CurveNotGeneric,
-    LimitDetail,
-    Subspace,
-    annihilator,
-    limit_along_curve_detailed,
-)
+from .foliation import FoliationPresentation, IsotropyAlgebra, kernel_at, leaf_dimension_at
+from .grassmann import Curve, CurveNotGeneric, Subspace, annihilator, limit_along_curve_detailed
 
 
 @dataclass(frozen=True)
@@ -51,7 +37,6 @@ class NashFiberSample:
     point: tuple[Fraction, ...]
     limits: tuple[Subspace, ...]
     curves_used: tuple[CurveRecord, ...]
-    details: tuple[LimitDetail, ...]
 
 
 @dataclass(frozen=True)
@@ -154,7 +139,6 @@ def nash_fiber(
     expected = p.num_generators - r
     anchor = p.anchor()
     limits: list[Subspace] = []
-    details: list[LimitDetail] = []
     records: list[CurveRecord] = []
     index: dict[tuple, int] = {}
     for curve in curves:
@@ -162,15 +146,14 @@ def nash_fiber(
             records.append(CurveRecord(curve.label, False, "not centered at the point"))
             continue
         try:
-            detail = limit_along_curve_detailed(anchor, curve, expected, p.vars)
+            limit = limit_along_curve_detailed(anchor, curve, expected, p.vars).limit
         except CurveNotGeneric as exc:
             records.append(CurveRecord(curve.label, False, f"CurveNotGeneric: {exc}"))
             continue
-        key = (detail.limit.ambient_dim, detail.limit.basis)
+        key = (limit.ambient_dim, limit.basis)
         if key not in index:
             index[key] = len(limits)
-            limits.append(detail.limit)
-            details.append(detail)
+            limits.append(limit)
         records.append(CurveRecord(curve.label, True, "", index[key]))
     order = sorted(range(len(limits)), key=lambda i: limits[i].basis)
     remap = {old: new for new, old in enumerate(order)}
@@ -178,12 +161,7 @@ def nash_fiber(
         CurveRecord(r.label, r.accepted, r.reason, remap[r.limit_index] if r.limit_index is not None else None)
         for r in records
     ]
-    return NashFiberSample(
-        point,
-        tuple(limits[i] for i in order),
-        tuple(records),
-        tuple(details[i] for i in order),
-    )
+    return NashFiberSample(point, tuple(limits[i] for i in order), tuple(records))
 
 
 def hn_fiber(
@@ -211,7 +189,6 @@ def hn_fiber(
 @dataclass(frozen=True)
 class SandwichReport:
     point: tuple[Fraction, ...]
-    degree_bound: int
     sker_dim: int
     ker_dim: int
     lower_ok: tuple[bool, ...]   # Sker ⊆ V per limit
@@ -223,13 +200,10 @@ class SandwichReport:
         return not self.violations
 
 
-def sandwich_check(
-    p: FoliationPresentation, sample: NashFiberSample, degree_bound: int | None = None
-) -> SandwichReport:
-    """Exact check of Sker_D ⊆ V ⊆ ker for every sampled limit."""
-    if degree_bound is None:
-        degree_bound = default_strong_kernel_bound(p)
-    sker = strong_kernel_at(p, sample.point, degree_bound)
+def sandwich_check(p: FoliationPresentation, sample: NashFiberSample, sker: Subspace) -> SandwichReport:
+    """Exact check of Sker_D ⊆ V ⊆ ker for every sampled limit, given the
+    strong kernel Sker_D at the sample's point (``strong_kernel_at``, or the
+    ``sker`` of the isotropy algebra there)."""
     ker = kernel_at(p, sample.point)
     lower, upper, violations = [], [], []
     for idx, v in enumerate(sample.limits):
@@ -241,9 +215,7 @@ def sandwich_check(
             violations.append(f"limit {idx}: strong kernel not contained in the limit")
         if not hi:
             violations.append(f"limit {idx}: limit not contained in the kernel")
-    return SandwichReport(
-        sample.point, degree_bound, sker.dim, ker.dim, tuple(lower), tuple(upper), tuple(violations)
-    )
+    return SandwichReport(sample.point, sker.dim, ker.dim, tuple(lower), tuple(upper), tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,33 @@ class TestCommands:
         code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1", "--points", "1,0,0")
         assert code == 2 and "odd" in err
 
+    @pytest.mark.parametrize("preset, point", [("so3_r3", "0,0,0"), ("vanishing_origin_2", "0,0"), (None, "0,0")])
+    def test_hn_fiber_solves_the_strong_kernel_once(self, capsys, monkeypatch, tmp_path, preset, point):
+        # with structure functions the sandwich check reads the isotropy
+        # algebra's strong kernel; without them it is solved directly
+        from folcone import foliation
+
+        if preset is None:
+            # [g1, g2] = d/dy is not a polynomial combination of d/dx, x*d/dy
+            preset = str(tmp_path / "nostructure.preset")
+            (tmp_path / "nostructure.preset").write_text(
+                "name nostructure\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dy\n"
+            )
+        calls = []
+        original = foliation.strong_kernel_at
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("folcone") and getattr(module, "strong_kernel_at", None) is original:
+                monkeypatch.setattr(module, "strong_kernel_at", counted)
+        code, out, _ = run_cli(capsys, "hn-fiber", preset, "--point", point)
+        report = json.loads(out)
+        assert code == 0 and report["results"]["sandwich"]["ok"]
+        assert len(calls) == 1
+
     def test_selftest(self, capsys):
         code, out, err = run_cli(capsys, "selftest")
         assert code == 0
@@ -265,12 +292,27 @@ class TestCommands:
                 "2243faa8c599049fccd011ae15d33614e494c59595db68a4d89303bea7e5e2d6",
                 6918,
             ),
+            # one-dimensional limits in Q^3, a curve with four saturation
+            # steps, and the kernel-wording rejection of the constant curve
+            (
+                ("hn-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", "3", "--seed", "0"),
+                "565587b6c5461a1d10f10f4e840b2c9d181c4983e0edf545bf816e5d7a6dde79",
+                10068,
+            ),
+            # twelve 12-dimensional limits in Q^16 at the origin of r4
+            (
+                ("hn-fiber", "r4_counterexample", "--point", "0,0,0,0", "--seed", "0"),
+                "88a63a4f77831bdc4f800c72d50f5d1b4adc5f5ed764ab8fd8db524ed9d31435",
+                720149,
+            ),
         ],
         ids=[
             "hn-fiber-vanishing_origin_3",
             "analyze-r4_counterexample",
             "analyze-r4_counterexample-origin",
             "elliptic-so3_r3",
+            "hn-fiber-so3_r3-arc-degree-3",
+            "hn-fiber-r4_counterexample-origin",
         ],
     )
     def test_golden_reports(self, capsys, argv, sha256, size):

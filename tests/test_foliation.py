@@ -375,3 +375,19 @@ def test_class_coordinates_match_a_linear_solve(index, data):
             iso.class_coordinates(w)
     else:
         assert iso.class_coordinates(w) == expected
+
+
+@pytest.mark.parametrize("index", range(len(ISOTROPY_CASES)))
+def test_bracket_table_equals_every_ordered_pair(index):
+    # the table is filled from the pairs a < b; each entry, the diagonal and
+    # the pairs b > a included, must be the class of the bracket value itself
+    from folcone.foliation import _constant_lift_bracket_value
+
+    iso = isotropy_case(index)
+    name, _ = ISOTROPY_CASES[index]
+    p = fresh_so3_augmented() if name is None else load_preset(name).presentation
+    reps = iso.quotient_basis
+    assert iso.bracket_table == tuple(
+        tuple(iso.class_coordinates(_constant_lift_bracket_value(p, qa, qb, iso.point)) for qb in reps)
+        for qa in reps
+    )

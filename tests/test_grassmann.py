@@ -3,12 +3,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folcone import algebra
+from folcone.acceptance import float_limit_angles
 from folcone.expr import Polynomial, parse_vector_field
 from folcone.grassmann import (
     Curve,
@@ -244,31 +244,22 @@ class TestLimits:
             limit_along_curve(so3_anchor(), Curve.constant((0, 0, 0)), 1, XYZ)
 
     def test_sides_agree(self):
-        # image-side computation must match a kernel-side recomputation
+        # a 4-dimensional limit in Q^6: the Pluecker route on the kernel side
+        # and on the row side (then the annihilator) give the engine's limit
         curve = Curve.arc((0, 0), (1, 0), (0, 1))
         detail = limit_along_curve_detailed(order2_anchor(), curve, 4, XY)
-        assert detail.side == "image" and detail.limit.dim == 4
-        m_t = algebra.subs_poly_matrix(order2_anchor(), curve.substitution(XY))
-        kernel_rows = algebra.kernel_basis_over_curve(m_t)
-        from folcone.grassmann import _poly_rows_pluecker
-        from folcone import algebra as alg
-
-        pl = _poly_rows_pluecker(kernel_rows, 6)
-        v0 = min(alg.t_valuation(p) for p in pl if not p.is_zero())
-        limit_vec = [alg.t_shift_down(p, v0).constant_term() if not p.is_zero() else Fraction(0) for p in pl]
-        rebuilt = reconstruct_from_plucker(normalize_plucker(limit_vec), 6, 4)
-        assert rebuilt == detail.limit
+        assert detail.limit.dim == 4
+        assert detail.limit == pluecker_route_limit(order2_anchor(), curve, 4, XY, side="kernel")
+        assert detail.limit == pluecker_route_limit(order2_anchor(), curve, 4, XY, side="row")
 
     def test_float_cross_check(self):
+        # the criterion-10 oracle: SVD kernel at x(1e-4) vs the exact kernel
+        # there, and that exact kernel vs the limit, as Pluecker vectors
         curve = Curve.arc((0, 0), (0, 1), (1, 0))
         detail = limit_along_curve_detailed(order2_anchor(), curve, 4, XY)
-        t = 1e-4
-        float_vec = np.array([p.eval_float([t]) for p in detail.plucker_polys])
-        exact_vec = np.array([float(p.eval([Fraction(1, 10000)])) for p in detail.plucker_polys])
-        cosang = abs(float_vec @ exact_vec) / (
-            np.linalg.norm(float_vec) * np.linalg.norm(exact_vec)
-        )
-        assert math.acos(min(1.0, cosang)) < 1e-6
+        svd_angle, limit_angle = float_limit_angles(order2_anchor(), curve, detail.limit)
+        assert svd_angle < 1e-6
+        assert limit_angle < 1e-2
 
     def test_scalar_stability_of_annihilators(self):
         lim = limit_along_curve(so3_anchor(), Curve.ray((0, 0, 0), (1, 2, 2)), 1, XYZ)
@@ -282,6 +273,101 @@ class TestLimits:
             ]
             for lam in (Fraction(2), Fraction(-7, 3), Fraction(0)):
                 assert dual.contains_vector([lam * x for x in xi])
+
+
+def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
+    """The Pluecker route to lim ker M(x(t)): a polynomial basis of one side
+    over Q(t) (the Cramer kernel, or the content-free Bareiss echelon rows),
+    its Pluecker vector from one shared-minor pass over Q[t], the coefficient
+    of the lowest power of t, and the subspace rebuilt from it.  Raises
+    CurveNotGeneric with the engine's wording when the kernel over Q(t) has
+    the wrong dimension."""
+    m_t = algebra.subs_poly_matrix(m, curve.substitution(vars))
+    n = len(m_t[0])
+    kernel = algebra.kernel_basis_over_curve(m_t)
+    if len(kernel) != expected_dim:
+        if 2 * expected_dim <= n:
+            reason = f"kernel over Q(t) has dimension {len(kernel)}, expected {expected_dim}"
+        else:
+            reason = f"rank over Q(t) is {n - len(kernel)}, expected {n - expected_dim}"
+        raise CurveNotGeneric(f"{reason} ({curve.label})")
+    if side == "kernel":
+        rows = kernel
+    else:
+        rows = [algebra.normalize_poly_vector(r) for r in algebra.bareiss_echelon(m_t)[0]]
+    if not rows:
+        space = Subspace(n, ())
+    else:
+        minors = algebra.maximal_minors(rows, n)
+        low = min(min(e[0] for e in q.terms) for q in minors if q)
+        space = reconstruct_from_plucker(normalize_plucker([q.coefficient((low,)) for q in minors]), n, len(rows))
+    return space if side == "kernel" else annihilator(space)
+
+
+def row_side_valuation(m, curve, vars):
+    """Lowest power of t among the maximal minors of the Bareiss pivot rows of M(x(t))."""
+    m_t = algebra.subs_poly_matrix(m, curve.substitution(vars))
+    rows = [m_t[i] for i in algebra.bareiss_echelon(m_t)[2]]
+    if not rows:
+        return 0
+    return min(min(e[0] for e in q.terms) for q in algebra.maximal_minors(rows, len(m_t[0])) if q)
+
+
+# sparse entries over Q[x, y] of degree <= 2, mostly without constant term,
+# so that the rank drops at the center and saturation takes several steps
+poly_xy = st.one_of(
+    st.just(Polynomial.zero(XY)),
+    st.builds(
+        lambda terms: Polynomial(XY, terms),
+        st.dictionaries(
+            st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (1, 1)]),
+            st.integers(-2, 2).map(Fraction),
+            min_size=1,
+            max_size=2,
+        ),
+    ),
+)
+small_vec = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+
+
+@st.composite
+def limit_cases(draw):
+    n_rows = draw(st.integers(1, 3))
+    n_cols = draw(st.integers(1, 4))
+    m = draw(st.lists(st.lists(poly_xy, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    center = draw(st.one_of(st.just([0, 0]), small_vec))
+    d = draw(small_vec)
+    if draw(st.booleans()):
+        curve = Curve.ray(center, d)
+    else:
+        curve = Curve.arc(center, d, draw(small_vec), power=draw(st.integers(2, 3)))
+    generic = n_cols - algebra.generic_rank(m)
+    expected = draw(st.one_of(st.just(generic), st.integers(0, n_cols)))
+    return m, curve, expected
+
+
+class TestSaturationEngine:
+    @settings(max_examples=200, deadline=None)
+    @given(limit_cases())
+    def test_matches_pluecker_route(self, case):
+        m, curve, expected = case
+        try:
+            want = pluecker_route_limit(m, curve, expected, XY)
+        except CurveNotGeneric as exc:
+            with pytest.raises(CurveNotGeneric) as got:
+                limit_along_curve_detailed(m, curve, expected, XY)
+            assert str(got.value) == str(exc)
+            return
+        detail = limit_along_curve_detailed(m, curve, expected, XY)
+        assert detail.limit == want and detail.limit.dim == expected
+        assert detail.valuation == row_side_valuation(m, curve, XY)
+
+    def test_saturation_steps_on_a_singular_fiber(self):
+        # so3 at the origin along the arc t e_1 + t^2 e_2: R(t) has t-valuation 2
+        curve = Curve.arc((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        detail = limit_along_curve_detailed(so3_anchor(), curve, 1, XYZ)
+        assert detail.valuation == row_side_valuation(so3_anchor(), curve, XYZ) == 2
+        assert detail.limit.basis == ((Fraction(1), 0, 0),)
 
 
 class TestDistance:

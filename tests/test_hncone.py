@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from folcone.expr import Polynomial
-from folcone.foliation import FoliationPresentation, isotropy_algebra, solve_structure_functions
+from folcone.foliation import FoliationPresentation, isotropy_algebra, solve_structure_functions, strong_kernel_at
 from folcone.grassmann import Curve, annihilator, make_subspace
 from folcone.hncone import (
     NashFiberSample,
@@ -144,13 +144,13 @@ class TestChecks:
     def test_sandwich_so3_origin(self):
         p = so3()
         sample = nash_fiber(p, (0, 0, 0))
-        report = sandwich_check(p, sample)
+        report = sandwich_check(p, sample, strong_kernel_at(p, (0, 0, 0)))
         assert report.ok and report.sker_dim == 0 and report.ker_dim == 3
 
     def test_sandwich_regular_point(self):
         p = so3()
         sample = nash_fiber(p, (1, 0, 0))
-        report = sandwich_check(p, sample)
+        report = sandwich_check(p, sample, strong_kernel_at(p, (1, 0, 0)))
         assert report.ok and report.sker_dim == report.ker_dim == 1
 
     def test_subalgebra_so3_origin(self):
@@ -176,7 +176,7 @@ class TestChecks:
         p = so3()
         origin = (Fraction(0),) * 3
         plane = make_subspace([(1, 0, 0), (0, 1, 0)], 3)
-        sample = NashFiberSample(origin, (plane,), (), ())
+        sample = NashFiberSample(origin, (plane,), ())
         report = limit_subalgebra_check(p, sample, isotropy_algebra(p, origin))
         assert report.closed == (False,)
         assert "limit 0: image not closed under the isotropy bracket" in report.violations
