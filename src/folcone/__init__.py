@@ -62,7 +62,9 @@ from .poisson import (
     DualPoint,
     HamiltonianField,
     NonFiniteState,
+    check_scenario,
     cotangent_lift_check,
+    covector_flow,
     flow_rk4,
     hamiltonian_field,
     hn_invariance_test,

@@ -26,7 +26,7 @@ from .foliation import (
 )
 from .grassmann import Curve, Subspace, annihilator, make_subspace, principal_angle
 from .hncone import curve_family, hn_fiber, limit_subalgebra_check, nash_fiber, sandwich_check
-from .poisson import cotangent_lift_check, hamiltonian_field, hamiltonian_identity_defect, hn_invariance_test
+from .poisson import check_scenario
 from .presets import load_preset
 from .symbols import (
     UEAElement,
@@ -374,17 +374,13 @@ def criterion_8() -> CriterionResult:
         if not p.has_structure():
             solve_structure_functions(p)
         for idx, (m, gen, eta) in enumerate(scenarios):
-            h = hamiltonian_field(p, gen)
-            defects = hamiltonian_identity_defect(p, h)
-            if defects:
-                failures.append(f"{name} scenario {idx}: identities {defects}")
-                continue
-            inv = hn_invariance_test(p, m, gen, 1.0, 1000, eta=eta, tol=1e-6)
-            if not inv.passed:
-                failures.append(f"{name} scenario {idx}: drift {inv.max_drift:.3e}")
-            lift = cotangent_lift_check(p, m, eta, gen, 1.0, 1000, tol=1e-6)
-            if not lift.passed:
-                failures.append(f"{name} scenario {idx}: lift deviation {lift.max_deviation:.3e}")
+            res = check_scenario(p, m, eta, gen, 1.0, 1000, tol=1e-6)
+            if res.identity_defects:
+                failures.append(f"{name} scenario {idx}: identities {list(res.identity_defects)}")
+            if not res.invariance.passed:
+                failures.append(f"{name} scenario {idx}: drift {res.invariance.max_drift:.3e}")
+            if not res.lift.passed:
+                failures.append(f"{name} scenario {idx}: lift deviation {res.lift.max_deviation:.3e}")
     return _result(8, title, failures, "2 presets x 3 scenarios, T=1, 1000 steps")
 
 

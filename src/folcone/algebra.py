@@ -1,10 +1,13 @@
 """Exact linear algebra over Q and over polynomial rings.
 
-Rational matrices are plain ``list[list[Fraction]]``; polynomial matrices are
-``list[list[Polynomial]]``.  Everything here is deterministic and exact:
-Gauss-Jordan with Fractions over Q, and fraction-free (Bareiss, exact-division
-form) elimination over polynomial entries, so ranks and kernels over the
-fraction field Q(x) or Q(t) are certified rather than estimated.
+Rational matrices are plain ``list[list[Fraction]]`` and sparse rows are
+``dict[int, Fraction]``; polynomial matrices are ``list[list[Polynomial]]``.
+Everything here is deterministic and exact.  Over Q there is one Gauss-Jordan
+elimination with Fractions, ``sparse_rref``: ``rref`` is its dense view, and
+``rank``, ``kernel_basis`` and ``solve_linear`` read its pivot rows.  Over
+polynomial entries elimination is fraction-free (Bareiss, exact-division
+form), so ranks and kernels over the fraction field Q(x) or Q(t) are
+certified rather than estimated.
 """
 
 from __future__ import annotations
@@ -69,93 +72,7 @@ def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan over Q
-# ---------------------------------------------------------------------------
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and pivot columns (exact, canonical)."""
-    m = as_matrix(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(pr, len(m)):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        if m[pr][c] != 1:
-            inv = 1 / m[pr][c]
-            m[pr] = [x * inv for x in m[pr]]
-        for i in range(len(m)):
-            if i != pr and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == len(m):
-            break
-    return m, pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
-    """Canonical (reduced echelon) basis of the right kernel of a matrix."""
-    m = as_matrix(rows)
-    if ncols is None:
-        if not m:
-            raise ValueError("ncols required for an empty matrix")
-        ncols = len(m[0])
-    red, pivots = rref(m)
-    vectors = standard_kernel_vectors(red, pivots, ncols)
-    if not vectors:
-        return []
-    canon, _ = rref(vectors)
-    return [tuple(r) for r in canon[: len(vectors)]]
-
-
-def standard_kernel_vectors(red: Matrix, pivots: Sequence[int], ncols: int) -> Matrix:
-    """Kernel basis read off a reduced echelon form: e_f - sum_i red[i][f] e_(pivot i) per free column f."""
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, c in enumerate(pivots):
-            v[c] = -red[i][f]
-        vectors.append(v)
-    return vectors
-
-
-def solve_linear(rows: Sequence[Sequence], b: Sequence) -> Vec | None:
-    """One exact solution of A x = b in canonical form, or None if inconsistent."""
-    a = as_matrix(rows)
-    rhs = fracs(b)
-    if len(a) != len(rhs):
-        raise ValueError("right-hand side has wrong length")
-    ncols = len(a[0]) if a else 0
-    aug = [row + [rhs[i]] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return tuple(x)
-
-
-# ---------------------------------------------------------------------------
-# Sparse Gauss-Jordan (for large, very sparse syzygy systems)
+# Gauss-Jordan over Q: one sparse elimination, read densely where needed
 # ---------------------------------------------------------------------------
 
 SparseRow = dict[int, Fraction]
@@ -164,53 +81,81 @@ SparseRow = dict[int, Fraction]
 def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
     """Full reduction of sparse rows; returns {pivot_col: normalized row}.
 
-    Every returned row has coefficient 1 at its pivot column and 0 at every
-    other pivot column, so standard kernel vectors read off directly.
+    Every returned row has coefficient 1 at its pivot column, which is its
+    leading column, and 0 at every other pivot column: sorted by pivot column
+    the rows are the reduced echelon form, so kernel vectors and canonical
+    solutions read off directly.  Entries must be Fractions, since ``1 / x``
+    of an int is a float; ``pivot_rows`` converts dense rows.
     """
     pivots: dict[int, SparseRow] = {}
     for row in rows:
-        r = {c: v for c, v in row.items() if v != 0}
-        # eliminate every pivot column present in the row, not only the leading one
-        while True:
-            hit = next((c for c in r if c in pivots), None)
-            if hit is None:
-                break
-            coef = r[hit]
-            for k, v in pivots[hit].items():
-                s = r.get(k, Fraction(0)) - coef * v
-                if s == 0:
-                    r.pop(k, None)
-                else:
-                    r[k] = s
+        r = {c: v for c, v in row.items() if v}
+        # a pivot row is zero at every other pivot column, so eliminating one
+        # pivot column of r brings in no other: the hits are known up front
+        for hit in [c for c in r if c in pivots]:
+            _add_multiple(r, -r[hit], pivots[hit])
         if not r:
             continue
         c = min(r)
-        inv = 1 / r[c]
-        r = {k: v * inv for k, v in r.items()}
+        if r[c] != 1:
+            inv = 1 / r[c]
+            r = {k: v * inv for k, v in r.items()}
         for p in pivots.values():
             coef = p.get(c)
             if coef is not None:
-                for k, v in r.items():
-                    s = p.get(k, Fraction(0)) - coef * v
-                    if s == 0:
-                        p.pop(k, None)
-                    else:
-                        p[k] = s
+                _add_multiple(p, -coef, r)
         pivots[c] = r
     return pivots
 
 
-def sparse_kernel_projection(
-    pivots: Mapping[int, SparseRow], ncols: int, coords: Sequence[int]
-) -> list[Vec]:
-    """Projections onto ``coords`` of the standard kernel basis of the system."""
+def _add_multiple(r: SparseRow, f: Fraction, p: SparseRow) -> None:
+    """r += f * p in place, keeping only nonzero entries."""
+    for k, v in p.items():
+        s = r[k] + f * v if k in r else f * v
+        if s:
+            r[k] = s
+        else:
+            del r[k]
+
+
+def pivot_rows(rows: Iterable[Sequence]) -> dict[int, SparseRow]:
+    """``sparse_rref`` of dense rows, their entries converted to Fractions first."""
+    return sparse_rref({c: x for c, x in enumerate(fracs(row)) if x} for row in rows)
+
+
+def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and pivot columns (exact, canonical).
+
+    The dense view of ``sparse_rref``: one row per input row, the pivot rows
+    first and then zero rows.
+    """
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots = pivot_rows(rows)
+    cols = sorted(pivots)
+    zero = Fraction(0)
+    red = [[pivots[c].get(k, zero) for k in range(ncols)] for c in cols]
+    red.extend([zero] * ncols for _ in range(len(rows) - len(cols)))
+    return red, cols
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    return len(pivot_rows(rows))
+
+
+def kernel_vectors(pivots: Mapping[int, SparseRow], ncols: int, coords: Sequence[int]) -> list[Vec]:
+    """The standard kernel basis of a reduced system, projected onto ``coords``.
+
+    One vector per free column f: e_f - sum_c pivots[c][f] e_c over the
+    pivot columns c.
+    """
     out: list[Vec] = []
-    coord_list = list(coords)
     for f in range(ncols):
         if f in pivots:
             continue
         vec = []
-        for c in coord_list:
+        for c in coords:
             if c == f:
                 vec.append(Fraction(1))
             elif c in pivots:
@@ -221,8 +166,36 @@ def sparse_kernel_projection(
     return out
 
 
+def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[Vec]:
+    """Canonical (reduced echelon) basis of the right kernel of a matrix."""
+    if ncols is None:
+        if not rows:
+            raise ValueError("ncols required for an empty matrix")
+        ncols = len(rows[0])
+    vectors = kernel_vectors(pivot_rows(rows), ncols, range(ncols))
+    return [tuple(r) for r in rref(vectors)[0]]
+
+
+def solve_linear(rows: Sequence[Sequence], b: Sequence) -> Vec | None:
+    """One exact solution of A x = b in canonical form, or None if inconsistent.
+
+    The canonical solution sets every free unknown to 0.
+    """
+    rhs = fracs(b)
+    if len(rows) != len(rhs):
+        raise ValueError("right-hand side has wrong length")
+    ncols = len(rows[0]) if rows else 0
+    pivots = pivot_rows([*row, y] for row, y in zip(rows, rhs))
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for c, row in pivots.items():
+        x[c] = row.get(ncols, Fraction(0))
+    return tuple(x)
+
+
 # ---------------------------------------------------------------------------
-# Polynomial matrices
+# Polynomial matrices and determinants
 # ---------------------------------------------------------------------------
 
 
@@ -381,7 +354,7 @@ def maximal_minors(rows: Sequence[Sequence], ncols: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Univariate content normalization (for kernel vectors over Q[t])
+# Kernels over Q(t) (the test oracle of the limit engine) and their content
 # ---------------------------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 import time
@@ -32,7 +33,7 @@ from .foliation import (
 )
 from .grassmann import Subspace
 from .hncone import curve_family, limit_subalgebra_check, nash_fiber, sandwich_check
-from .poisson import NonFiniteState, cotangent_lift_check, hamiltonian_field, hamiltonian_identity_defect, hn_invariance_test
+from .poisson import NonFiniteState, check_scenario
 from .presets import BUILTIN_NAMES, Preset, PresetError, load_preset
 from .symbols import (
     OddDegreeWarning,
@@ -86,6 +87,16 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in its message for a non-number
+
+
 def _check_points(preset: Preset, points: Sequence[Sequence[Fraction]], what: str = "point") -> None:
     n = preset.presentation.dim
     for m in points:
@@ -114,14 +125,7 @@ def _csv_fibers(directory: str, stem: str, spaces: Sequence[Subspace]) -> None:
                 writer.writerow([i, j] + [float(x) for x in row])
 
 
-def _csv_trajectory(directory: str, stem: str, presentation, field, scenario) -> None:
-    from .poisson import DualPoint, flow_hamiltonian
-
-    m = scenario["point"]
-    eta = scenario.get("eta") or tuple(Fraction(1) for _ in presentation.vars)
-    xi0 = _transpose_apply(presentation, m, eta)
-    start = DualPoint(tuple(float(x) for x in m), tuple(float(x) for x in xi0))
-    traj = flow_hamiltonian(field, start, scenario.get("T", 1.0), scenario.get("steps", 1000))
+def _csv_trajectory(directory: str, stem: str, presentation, traj) -> None:
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     with open(path / f"{stem}.csv", "w", newline="") as fh:
@@ -133,12 +137,6 @@ def _csv_trajectory(directory: str, stem: str, presentation, field, scenario) ->
         )
         for t, state in zip(traj.times, traj.states):
             writer.writerow([t] + list(state))
-
-
-def _transpose_apply(presentation, m, eta):
-    from . import algebra
-
-    return algebra.mat_vec(algebra.transpose(presentation.anchor_at(m)), [Fraction(x) for x in eta])
 
 
 def _report_shell(args, command: str, params: dict[str, Any]) -> dict[str, Any]:
@@ -437,10 +435,10 @@ def _parse_scenario(text: str, preset: Preset) -> dict[str, Any]:
             raise argparse.ArgumentTypeError(f"bad scenario chunk {chunk!r}")
         key, value = (part.strip() for part in chunk.split("=", 1))
         try:
-            if key == "point":
-                out["point"] = _point_arg(value)
-            elif key == "eta":
-                out["eta"] = _point_arg(value)
+            if key in ("point", "eta"):
+                out[key] = _point_arg(value)
+                for x in out[key]:
+                    float(x)  # the flow runs in floats: OverflowError beyond their range
             elif key == "gen":
                 names = preset.generator_names
                 if value not in names:
@@ -454,7 +452,7 @@ def _parse_scenario(text: str, preset: Preset) -> dict[str, Any]:
                     raise ValueError("steps must be >= 1")
             else:
                 raise argparse.ArgumentTypeError(f"unknown scenario key {key!r}")
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise argparse.ArgumentTypeError(f"bad scenario chunk {chunk!r}: {exc}") from exc
     if "point" not in out:
         raise argparse.ArgumentTypeError(f"scenario {text!r} has no point=...")
@@ -513,42 +511,23 @@ def cmd_poisson_check(args) -> int:
     ok = True
     for idx, sc in enumerate(scenarios):
         gen = sc.get("gen", 0)
-        h = hamiltonian_field(p, gen)
-        defects = hamiltonian_identity_defect(p, h)
-        inv = hn_invariance_test(
-            p,
-            sc["point"],
-            gen,
-            sc.get("T", 1.0),
-            sc.get("steps", 1000),
-            eta=sc.get("eta"),
-            tol=args.tol,
-        )
-        lift = cotangent_lift_check(
-            p,
-            sc["point"],
-            sc.get("eta", tuple(Fraction(1) for _ in range(p.dim))),
-            gen,
-            sc.get("T", 1.0),
-            sc.get("steps", 1000),
-            tol=args.tol,
-        )
-        passed = not defects and inv.passed and lift.passed
-        ok = ok and passed
+        eta = sc.get("eta", tuple(Fraction(1) for _ in range(p.dim)))
+        res = check_scenario(p, sc["point"], eta, gen, sc.get("T", 1.0), sc.get("steps", 1000), tol=args.tol)
+        ok = ok and res.passed
         results.append(
             {
                 "scenario": idx,
                 "point": _vec(sc["point"]),
                 "generator": gen,
-                "identity_defects": defects,
-                "membership_drift": inv.max_drift,
-                "snap_radius": inv.snap_radius,
-                "lift_deviation": lift.max_deviation,
-                "passed": passed,
+                "identity_defects": list(res.identity_defects),
+                "membership_drift": res.invariance.max_drift,
+                "snap_radius": res.invariance.snap_radius,
+                "lift_deviation": res.lift.max_deviation,
+                "passed": res.passed,
             }
         )
         if args.csv:
-            _csv_trajectory(args.csv, f"trajectory_{idx}", p, h, sc)
+            _csv_trajectory(args.csv, f"trajectory_{idx}", p, res.flow.trajectory)
     report = _report_shell(
         args,
         "poisson-check",
@@ -642,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("preset")
     sp.add_argument("--op", required=True)
     sp.add_argument("--points", type=_points_arg, required=True)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_finite_float, default=1e-9)
     sp.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=8)
     sp.add_argument("--convention", choices=("positive", "nonvanishing"), default="positive",
                     help="strict positivity (default) or nonvanishing |symbol|")
@@ -655,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("preset")
     sp.add_argument("--scenario", action="append", default=None,
                     help="'point=1,0,0;gen=g3;eta=0,1,0;T=1;steps=1000' (repeatable)")
-    sp.add_argument("--tol", type=float, default=1e-6)
+    sp.add_argument("--tol", type=_finite_float, default=1e-6)
     _add_common(sp, with_curves=False)
     sp.set_defaults(fn=cmd_poisson_check)
 

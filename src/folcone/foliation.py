@@ -190,8 +190,35 @@ def default_strong_kernel_bound(p: FoliationPresentation) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Strong kernel via degree-bounded syzygies
+# Degree-bounded module membership: strong kernels and structure functions
 # ---------------------------------------------------------------------------
+
+
+def _membership_rows(
+    anchor: PolyMatrix, monos: Sequence[tuple[int, ...]], target: PolyVectorField | None = None
+) -> list[algebra.SparseRow]:
+    """Sparse rows of sum_k f_k X_k = target, one per (component, monomial).
+
+    ``anchor[l][k]`` is component l of X_k.  Unknown ``k * len(monos) + i`` is
+    the coefficient of ``monos[i]`` in f_k, and the target's coefficients sit
+    in column ``len(anchor[0]) * len(monos)``; without a target the system is
+    homogeneous.
+    """
+    n_monos = len(monos)
+    target_col = len(anchor[0]) * n_monos
+    equations: dict[tuple[int, tuple[int, ...]], algebra.SparseRow] = {}
+    for l, comps in enumerate(anchor):
+        for k, entry in enumerate(comps):
+            for alpha, coeff in entry.terms.items():
+                for i, mu in enumerate(monos):
+                    row = equations.setdefault((l, tuple(a + b for a, b in zip(alpha, mu))), {})
+                    col = k * n_monos + i
+                    row[col] = row.get(col, Fraction(0)) + coeff
+        if target is not None:
+            for alpha, coeff in target.components[l].terms.items():
+                row = equations.setdefault((l, alpha), {})
+                row[target_col] = row.get(target_col, Fraction(0)) + coeff
+    return list(equations.values())
 
 
 def strong_kernel_at(
@@ -208,39 +235,14 @@ def strong_kernel_at(
     if degree_bound < 0:
         raise ValueError("degree bound must be non-negative")
     point = [Fraction(x) for x in m]
-    n, big_n = p.dim, p.num_generators
-    shifted = [
-        [entry.shift(point) for entry in row] for row in p.anchor()
-    ]  # rows: base components, cols: generators, recentred at m
-    monos = monomials_up_to(n, degree_bound)
-    mono_index = {mu: k for k, mu in enumerate(monos)}
-    n_monos = len(monos)
-
-    def unknown(j: int, mu_idx: int) -> int:
-        return j * n_monos + mu_idx
-
-    equations: dict[tuple[int, tuple[int, ...]], dict[int, Fraction]] = {}
-    for l in range(n):
-        for j in range(big_n):
-            entry = shifted[l][j]
-            if entry.is_zero():
-                continue
-            for alpha, coeff in entry.terms.items():
-                for mu_idx, mu in enumerate(monos):
-                    key = (l, tuple(a + b for a, b in zip(alpha, mu)))
-                    row = equations.setdefault(key, {})
-                    col = unknown(j, mu_idx)
-                    row[col] = row.get(col, Fraction(0)) + coeff
-    pivots = algebra.sparse_rref(equations.values())
-    const_idx = mono_index[(0,) * n]
-    coords = [unknown(j, const_idx) for j in range(big_n)]
-    values = algebra.sparse_kernel_projection(pivots, big_n * n_monos, coords)
+    big_n = p.num_generators
+    shifted = [[entry.shift(point) for entry in row] for row in p.anchor()]
+    monos = monomials_up_to(p.dim, degree_bound)
+    pivots = algebra.sparse_rref(_membership_rows(shifted, monos))
+    # the constant monomial comes first, so f_j(m) is unknown j * len(monos)
+    coords = [j * len(monos) for j in range(big_n)]
+    values = algebra.kernel_vectors(pivots, big_n * len(monos), coords)
     return make_subspace(values, big_n)
-
-
-# ---------------------------------------------------------------------------
-# Structure functions by linear solving
-# ---------------------------------------------------------------------------
 
 
 def solve_structure_functions(
@@ -287,42 +289,17 @@ def _solve_membership(
     p: FoliationPresentation, target: PolyVectorField, bound: int
 ) -> tuple[Polynomial, ...] | None:
     """Solve sum_k c_k X_k = target with deg c_k <= bound (canonical solution)."""
-    n, big_n = p.dim, p.num_generators
-    monos = monomials_up_to(n, bound)
-    n_monos = len(monos)
-    eq_keys: dict[tuple[int, tuple[int, ...]], int] = {}
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def eq_row(key) -> int:
-        if key not in eq_keys:
-            eq_keys[key] = len(rows)
-            rows.append([Fraction(0)] * (big_n * n_monos))
-            rhs.append(Fraction(0))
-        return eq_keys[key]
-
-    for l in range(n):
-        for k in range(big_n):
-            comp = p.generators[k].components[l]
-            for alpha, coeff in comp.terms.items():
-                for mu_idx, mu in enumerate(monos):
-                    r = eq_row((l, tuple(a + b for a, b in zip(alpha, mu))))
-                    rows[r][k * n_monos + mu_idx] += coeff
-        for alpha, coeff in target.components[l].terms.items():
-            r = eq_row((l, alpha))
-            rhs[r] += coeff
-    sol = algebra.solve_linear(rows, rhs)
-    if sol is None:
+    monos = monomials_up_to(p.dim, bound)
+    target_col = p.num_generators * len(monos)
+    pivots = algebra.sparse_rref(_membership_rows(p.anchor(), monos, target))
+    if target_col in pivots:
         return None
-    out = []
-    for k in range(big_n):
-        terms = {
-            monos[mu_idx]: sol[k * n_monos + mu_idx]
-            for mu_idx in range(n_monos)
-            if sol[k * n_monos + mu_idx] != 0
-        }
-        out.append(Polynomial(p.vars, terms))
-    return tuple(out)
+    # free unknowns are 0; a pivot unknown takes its row's target entry
+    terms: list[dict] = [{} for _ in range(p.num_generators)]
+    for col, row in pivots.items():
+        if target_col in row:
+            terms[col // len(monos)][monos[col % len(monos)]] = row[target_col]
+    return tuple(Polynomial(p.vars, t) for t in terms)
 
 
 def jacobi_flag(p: FoliationPresentation) -> bool:
@@ -407,8 +384,11 @@ class IsotropyAlgebra:
             for b, vb in enumerate(v):
                 if vb == 0:
                     continue
-                for k, w in enumerate(self.bracket_table[a][b]):
-                    out[k] += ua * vb * w
+                terms = [(k, w) for k, w in enumerate(self.bracket_table[a][b]) if w]
+                if terms:
+                    uv = ua * vb
+                    for k, w in terms:
+                        out[k] += uv * w
         return tuple(out)
 
 

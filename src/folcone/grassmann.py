@@ -155,10 +155,10 @@ def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> t
     k = len(basis)
     if 2 * k <= ambient_dim:
         return tuple(algebra.maximal_minors([algebra.primitive(r) for r in basis], ambient_dim))
-    red, pivots = algebra.rref(basis)
+    pivots = algebra.pivot_rows(basis)
     if len(pivots) < k:
         return (0,) * comb(ambient_dim, k)
-    dual = [algebra.primitive(v) for v in algebra.standard_kernel_vectors(red, pivots, ambient_dim)]
+    dual = [algebra.primitive(v) for v in algebra.kernel_vectors(pivots, ambient_dim, range(ambient_dim))]
     # complementing the subsets reverses their lexicographic order
     dual_minors = reversed(algebra.maximal_minors(dual, ambient_dim))
     shift = k * (k - 1) // 2
@@ -334,10 +334,10 @@ def limit_along_curve_detailed(
     coeffs = [[[q.coefficient((d,)) for q in m_t[i]] for i in pivot_rows] for d in range(depth)]
     steps = 0
     while True:
-        red, pivots = algebra.rref(algebra.transpose(coeffs[0]))
+        pivots = algebra.pivot_rows(algebra.transpose(coeffs[0]))
         if len(pivots) == rank:
             break
-        c = algebra.standard_kernel_vectors(red, pivots, rank)[0]
+        c = algebra.kernel_vectors(pivots, rank, range(rank))[0]
         j = next(i for i, x in enumerate(c) if x)
         # c^T R(t) vanishes at t = 0; its coefficients of t, t^2, ... become row j
         shifted = [algebra.mat_vec(algebra.transpose(r_d), c) for r_d in coeffs[1:]]

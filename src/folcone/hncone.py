@@ -64,7 +64,8 @@ def curve_family(
 
     Always contains the n axis rays; the default adds 2n diagonal rays and
     the n(n-1) canonical degree-2 arcs m + t e_i + t^2 e_j.  Extra seeded
-    rational rays are appended until ``direction_count`` directions exist.
+    rational rays are appended until ``direction_count`` directions exist, or
+    until every direction the draw can reach is present.
     The constant curve is included by default; at singular points it is
     rejected downstream, so including it is harmless.
     """
@@ -90,6 +91,10 @@ def curve_family(
             push([Fraction(int(k == i) - int(k == j)) for k in range(n)])
     default_count = n + (2 * n if n > 1 else 0)
     want = default_count if direction_count is None else max(direction_count, n)
+    # the draws can reach only the primitive directions in [-3,3]^n, up to
+    # sign: (7^n - 1) nonzero vectors less the (3^n - 1) with all entries
+    # even and the (3^n - 1) with all entries divisible by 3, halved
+    want = min(want, (7**n - 1 - 2 * (3**n - 1)) // 2)
     rng = random.Random(seed)
     attempts = 0
     while len(directions) < want and attempts < 100 * want:

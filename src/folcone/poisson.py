@@ -279,6 +279,28 @@ def flow_hamiltonian(h: HamiltonianField, start: DualPoint, t_final: float, step
     return flow_rk4(h.rhs_fn(), y0, t_final, steps)
 
 
+@dataclass(frozen=True)
+class CovectorFlow:
+    """The H_a flow from (m, rho*_m eta): its exact start, field and trajectory."""
+
+    point: tuple[Fraction, ...]
+    eta: tuple[Fraction, ...]
+    field: HamiltonianField
+    trajectory: Trajectory
+
+
+def covector_flow(
+    p: FoliationPresentation, m: Sequence, eta: Sequence, a, t_final: float, steps: int
+) -> CovectorFlow:
+    """Flow (x, xi) by H_a from x = m, xi = rho*_m eta (fixed-step RK4)."""
+    point = tuple(Fraction(x) for x in m)
+    eta_q = tuple(Fraction(x) for x in eta)
+    xi0 = algebra.mat_vec(algebra.transpose(p.anchor_at(point)), eta_q)
+    h = hamiltonian_field(p, a)
+    start = DualPoint(tuple(float(x) for x in point), tuple(float(x) for x in xi0))
+    return CovectorFlow(point, eta_q, h, flow_hamiltonian(h, start, t_final, steps))
+
+
 # ---------------------------------------------------------------------------
 # Invariance checks
 # ---------------------------------------------------------------------------
@@ -302,34 +324,24 @@ def _snap(value: float, denominator: int) -> Fraction:
 
 def hn_invariance_test(
     p: FoliationPresentation,
-    m: Sequence,
-    a,
-    t_final: float,
-    steps: int,
+    flow: CovectorFlow,
     *,
-    eta: Sequence | None = None,
     tol: float = 1e-6,
     sample_count: int = 10,
     snap_denominator: int = 10**9,
 ) -> InvarianceResult:
-    """Flow (x, xi) by H_a from xi0 = rho*_m eta and measure cone-membership drift.
+    """Measure the cone-membership drift of xi(t) along a flow from a regular point.
 
     At sampled times the base point is snapped to a nearby rational point
     (must remain regular), the fiber there is recomputed exactly, and the
     distance from xi(t) to it is recorded; the snap radius is reported so it
     can be added to the drift budget.
     """
-    point = tuple(Fraction(x) for x in m)
-    r, is_regular = regular_data(p)
-    if not is_regular(point):
+    _, is_regular = regular_data(p)
+    if not is_regular(flow.point):
         raise ValueError("invariance test must start at a regular point")
-    if eta is None:
-        eta = [Fraction(1)] * p.dim
-    eta = [Fraction(x) for x in eta]
-    xi0 = algebra.mat_vec(algebra.transpose(p.anchor_at(point)), eta)
-    h = hamiltonian_field(p, a)
-    start = DualPoint(tuple(float(x) for x in point), tuple(float(x) for x in xi0))
-    traj = flow_hamiltonian(h, start, t_final, steps)
+    traj = flow.trajectory
+    steps = len(traj.times) - 1
     n = p.dim
     idxs = np.unique(np.linspace(0, steps, sample_count + 1).astype(int))
     max_drift = 0.0
@@ -360,26 +372,13 @@ class LiftResult:
         return self.max_deviation <= self.tolerance
 
 
-def cotangent_lift_check(
-    p: FoliationPresentation,
-    m: Sequence,
-    eta: Sequence,
-    a,
-    t_final: float,
-    steps: int,
-    *,
-    tol: float = 1e-6,
-) -> LiftResult:
+def cotangent_lift_check(p: FoliationPresentation, flow: CovectorFlow, *, tol: float = 1e-6) -> LiftResult:
     """Compare the H_a flow of rho*_m eta against the cotangent-lifted flow
-    of rho(a) pushed through rho* at the transported base point."""
-    point = tuple(Fraction(x) for x in m)
-    eta_q = [Fraction(x) for x in eta]
-    h = hamiltonian_field(p, a)
-    xi0 = algebra.mat_vec(algebra.transpose(p.anchor_at(point)), eta_q)
-    traj_h = flow_hamiltonian(
-        h, DualPoint(tuple(float(x) for x in point), tuple(float(x) for x in xi0)), t_final, steps
-    )
-
+    of rho(a) from (m, eta), pushed through rho* at the transported base point."""
+    h, traj_h = flow.field, flow.trajectory
+    # the same RK4 grid: linspace ends exactly at t_final
+    steps = len(traj_h.times) - 1
+    t_final = float(traj_h.times[-1])
     n = p.dim
     base_fns = [c.as_float_fn() for c in h.base.components]
     jac_fns = [
@@ -396,7 +395,7 @@ def cotangent_lift_check(
         out[n:] = -jac.T @ cov
         return out
 
-    y0 = [float(x) for x in point] + [float(x) for x in eta_q]
+    y0 = [float(x) for x in flow.point] + [float(x) for x in flow.eta]
     traj_l = flow_rk4(lift_rhs, y0, t_final, steps)
 
     anchor = p.anchor()
@@ -410,3 +409,31 @@ def cotangent_lift_check(
         xi_lift = rho_t.T @ cov
         max_dev = max(max_dev, float(np.linalg.norm(xi_h - xi_lift)))
     return LiftResult(max_dev, steps, tol)
+
+
+@dataclass(frozen=True)
+class ScenarioResult:
+    """All three checks of one flow scenario, which share one H_a trajectory."""
+
+    flow: CovectorFlow
+    identity_defects: tuple[str, ...]
+    invariance: InvarianceResult
+    lift: LiftResult
+
+    @property
+    def passed(self) -> bool:
+        return not self.identity_defects and self.invariance.passed and self.lift.passed
+
+
+def check_scenario(
+    p: FoliationPresentation, m: Sequence, eta: Sequence, a, t_final: float, steps: int, *, tol: float
+) -> ScenarioResult:
+    """The exact Hamiltonian identities of H_a, then cone invariance and the
+    cotangent lift along the one H_a flow from (m, rho*_m eta)."""
+    flow = covector_flow(p, m, eta, a, t_final, steps)
+    return ScenarioResult(
+        flow,
+        tuple(hamiltonian_identity_defect(p, flow.field)),
+        hn_invariance_test(p, flow, tol=tol),
+        cotangent_lift_check(p, flow, tol=tol),
+    )

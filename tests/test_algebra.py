@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from folcone import algebra
 from folcone.expr import Polynomial, PolyVectorField, parse_polynomial, parse_vector_field
+from folcone.foliation import FoliationPresentation, monomials_up_to, solve_structure_functions
+from folcone.presets import BUILTIN_NAMES, load_preset
 
 XYZ = ("x", "y", "z")
 XY = ("x", "y")
@@ -279,6 +281,157 @@ class TestKernelOverCurve:
         assert basis == [(tpoly("t"), tpoly("1"))]
 
 
+def dense_rref(rows):
+    """Dense Gauss-Jordan over Q, the oracle of the one sparse elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    pivots = []
+    pr = 0
+    for c in range(len(m[0])):
+        pivot_row = next((i for i in range(pr, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = 1 / m[pr][c]
+        m[pr] = [x * inv for x in m[pr]]
+        for i in range(len(m)):
+            if i != pr and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[pr])]
+        pivots.append(c)
+        pr += 1
+        if pr == len(m):
+            break
+    return m, pivots
+
+
+def dense_solve(rows, b):
+    """The canonical solution (free unknowns 0) read off the oracle's augmented form."""
+    ncols = len(rows[0]) if rows else 0
+    red, pivots = dense_rref([list(row) + [y] for row, y in zip(rows, b)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        x[c] = red[i][ncols]
+    return tuple(x)
+
+
+# ints as well as Fractions: an int pivot must not turn into a float
+mixed_entry = st.one_of(rational_entry, st.integers(-3, 3))
+
+
+@st.composite
+def dependent_matrices(draw, max_rows=5, max_cols=5):
+    """Random rational matrices, possibly empty, zero, 1 x N or N x 1, often
+    with rows that are combinations of earlier ones."""
+    ncols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.lists(mixed_entry, min_size=ncols, max_size=ncols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        coeffs = draw(st.lists(mixed_entry, min_size=len(rows), max_size=len(rows)))
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, [sum((a * row[c] for a, row in zip(coeffs, rows)), Fraction(0)) for c in range(ncols)])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_matrices())
+def test_rref_matches_the_dense_oracle(rows):
+    red, pivots = algebra.rref(rows)
+    assert (red, pivots) == dense_rref(rows)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert algebra.rank(rows) == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_matrices(), st.data())
+def test_solve_linear_returns_the_oracle_solution(rows, data):
+    b = data.draw(st.lists(mixed_entry, min_size=len(rows), max_size=len(rows)))
+    x = algebra.solve_linear(rows, b)
+    assert x == dense_solve(rows, b)
+    if x is not None:
+        assert all(type(v) is Fraction for v in x)
+        assert list(algebra.mat_vec(rows, x)) == b
+
+
+def dense_membership(p, target, bound):
+    """Dense rows of sum_k c_k X_k = target with deg c_k <= bound, solved by the oracle."""
+    monos = monomials_up_to(p.dim, bound)
+    eq_keys, rows, rhs = {}, [], []
+
+    def eq_row(key):
+        if key not in eq_keys:
+            eq_keys[key] = len(rows)
+            rows.append([Fraction(0)] * (p.num_generators * len(monos)))
+            rhs.append(Fraction(0))
+        return eq_keys[key]
+
+    for l in range(p.dim):
+        for k in range(p.num_generators):
+            for alpha, coeff in p.generators[k].components[l].terms.items():
+                for i, mu in enumerate(monos):
+                    rows[eq_row((l, tuple(a + b for a, b in zip(alpha, mu))))][k * len(monos) + i] += coeff
+        for alpha, coeff in target.components[l].terms.items():
+            rhs[eq_row((l, alpha))] += coeff
+    sol = dense_solve(rows, rhs)
+    if sol is None:
+        return None
+    return tuple(
+        Polynomial(p.vars, {mu: sol[k * len(monos) + i] for i, mu in enumerate(monos) if sol[k * len(monos) + i]})
+        for k in range(p.num_generators)
+    )
+
+
+def oracle_structure(p, degree_bound=None):
+    """(structure array, bound used) by the dense route, or (None, None)."""
+    if degree_bound is None:
+        degree_bound = max(p.max_generator_degree(), 0)
+    n = p.num_generators
+    zero = tuple(Polynomial.zero(p.vars) for _ in range(n))
+    c = [[zero] * n for _ in range(n)]
+    used = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            for bound in range(degree_bound + 1):
+                sol = dense_membership(p, p.bracket(i, j), bound)
+                if sol is not None:
+                    used = max(used, bound)
+                    break
+            else:
+                return None, None
+            c[i][j], c[j][i] = sol, tuple(-q for q in sol)
+    return tuple(tuple(row) for row in c), used
+
+
+def structure_case(name):
+    """A presentation without structure functions, and the degree bound to solve with."""
+    def fresh(vars, texts):
+        return FoliationPresentation(vars, tuple(parse_vector_field(t, vars) for t in texts), name=name)
+
+    order2 = ("x^2*d/dx", "y^2*d/dx", "x*y*d/dx", "x^2*d/dy", "y^2*d/dy", "x*y*d/dy")
+    if name == "gl2":
+        return fresh(("x1", "x2"), ("x1*d/dx1", "x1*d/dx2", "x2*d/dx1", "x2*d/dx2")), None
+    if name.startswith("o2-bound"):
+        return fresh(XY, order2), int(name[-1])
+    if name == "so3_radial":
+        so3 = fresh(XYZ, ("z*d/dy - y*d/dz", "x*d/dz - z*d/dx", "y*d/dx - x*d/dy"))
+        x, y, z = (Polynomial.var(v, XYZ) for v in XYZ)
+        radial = x * so3.generators[0] + y * so3.generators[1] + z * so3.generators[2]
+        return FoliationPresentation(XYZ, so3.generators + (radial,), name=name), None
+    # a fresh copy of a builtin, without its shipped or cached structure functions
+    p = load_preset(name).presentation
+    return FoliationPresentation(p.vars, p.generators, name=name), None
+
+
+@pytest.mark.parametrize("name", ["gl2", "o2-bound0", "o2-bound2", "so3_radial", *BUILTIN_NAMES])
+def test_structure_functions_match_the_dense_route(name):
+    p, bound = structure_case(name)
+    expected, expected_bound = oracle_structure(p, bound)
+    assert solve_structure_functions(p, bound) == expected
+    assert (p.structure_bound_used if expected is not None else None) == expected_bound
+
+
 class TestSparseSolver:
     def test_matches_dense_kernel(self):
         rng = random.Random(14)
@@ -288,7 +441,7 @@ class TestSparseSolver:
                 {j: v for j, v in enumerate(row) if v != 0} for row in rows
             ]
             pivots = algebra.sparse_rref(sparse_rows)
-            projected = algebra.sparse_kernel_projection(pivots, 5, list(range(5)))
+            projected = algebra.kernel_vectors(pivots, 5, range(5))
             dense = algebra.kernel_basis(rows, ncols=5)
             assert algebra.rank([list(v) for v in projected]) == len(dense)
             for v in projected:

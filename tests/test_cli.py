@@ -218,6 +218,11 @@ class TestCommands:
             ("poisson-check", "so3_r3", "--scenario", "point=0,0,0;gen=g3;eta=0,1,0"),
             ("poisson-check", "so3_r3", "--scenario", "gen=g3;eta=0,1,0"),
             ("poisson-check", "order2_r2", "--scenario", "point=2,2;gen=g1;eta=1,2"),
+            ("elliptic", "so3_r3", "--op", "g1.g1+g2.g2", "--points", "1,0,0", "--tol", "nan"),
+            ("elliptic", "so3_r3", "--op", "g1.g1+g2.g2", "--points", "1,0,0", "--tol", "inf"),
+            ("poisson-check", "so3_r3", "--tol", "nan"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;T=1e400"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1e400,0,0;gen=g3"),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, argv):
@@ -305,6 +310,12 @@ class TestCommands:
                 "88a63a4f77831bdc4f800c72d50f5d1b4adc5f5ed764ab8fd8db524ed9d31435",
                 720149,
             ),
+            # the two automatic flow scenarios: drift, snap radius and lift deviation floats
+            (
+                ("poisson-check", "so3_r3", "--seed", "0"),
+                "0fceae2b9f09f592bcac96544c4eca7afe44f3d843d479f9f42f3f47e2674ce8",
+                876,
+            ),
         ],
         ids=[
             "hn-fiber-vanishing_origin_3",
@@ -313,6 +324,7 @@ class TestCommands:
             "elliptic-so3_r3",
             "hn-fiber-so3_r3-arc-degree-3",
             "hn-fiber-r4_counterexample-origin",
+            "poisson-check-so3_r3",
         ],
     )
     def test_golden_reports(self, capsys, argv, sha256, size):

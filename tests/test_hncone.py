@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -52,6 +53,18 @@ class TestCurveFamily:
         rays = [c for c in family if c.label.startswith("ray")]
         arcs = [c for c in family if c.label.startswith("arc")]
         assert len(rays) == 9 and len(arcs) == 6
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_more_directions_than_the_draw_reaches(self, n):
+        # every primitive direction in [-3,3]^n up to sign, and no more; the
+        # draw stops there instead of spending 100 attempts per missing one
+        reachable = {
+            tuple(v) if next(x for x in v if x) > 0 else tuple(-x for x in v)
+            for v in itertools.product(range(-3, 4), repeat=n)
+            if any(v) and math.gcd(*v) == 1
+        }
+        family = curve_family((0,) * n, direction_count=10**8, arc_degree=1, include_constant=False)
+        assert {tuple(int(x) for x in c.label[len("ray d=("):-1].split(",")) for c in family} == reachable
 
 
 class TestNashFiber:

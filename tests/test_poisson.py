@@ -9,7 +9,9 @@ from folcone.foliation import FoliationPresentation, jacobi_flag, solve_structur
 from folcone.poisson import (
     DualPoint,
     NonFiniteState,
+    check_scenario,
     cotangent_lift_check,
+    covector_flow,
     dual_vars,
     ev,
     flow_hamiltonian,
@@ -157,42 +159,63 @@ class TestFlows:
 
 class TestInvariance:
     def test_abelian_zero_drift(self):
-        res = hn_invariance_test(abelian(), (0, 0), 0, 1.0, 100, eta=(1, 2))
+        p = abelian()
+        res = hn_invariance_test(p, covector_flow(p, (0, 0), (1, 2), 0, 1.0, 100))
         assert res.max_drift == 0.0 and res.passed
 
     def test_so3_drift_below_tolerance(self):
-        res = hn_invariance_test(so3(), (1, 0, 0), 2, 1.0, 1000, eta=(0, 1, 0), tol=1e-6)
+        res = hn_invariance_test(so3(), covector_flow(so3(), (1, 0, 0), (0, 1, 0), 2, 1.0, 1000), tol=1e-6)
         assert res.passed and res.max_drift <= 1e-6
 
     def test_so3_nontrivial_rotation(self):
-        res = hn_invariance_test(so3(), (1, 0, 0), 1, 1.0, 1000, eta=(1, 1, 1), tol=1e-6)
+        res = hn_invariance_test(so3(), covector_flow(so3(), (1, 0, 0), (1, 1, 1), 1, 1.0, 1000), tol=1e-6)
         assert res.passed
 
     def test_debord_full_dual_zero_drift(self):
         deb = load_preset("debord_line").presentation
         if not deb.has_structure():
             solve_structure_functions(deb)
-        res = hn_invariance_test(deb, (0,), 0, 1.0, 100, eta=(1,))
+        res = hn_invariance_test(deb, covector_flow(deb, (0,), (1,), 0, 1.0, 100))
         assert res.max_drift == 0.0
 
     def test_singular_start_rejected(self):
         with pytest.raises(ValueError):
-            hn_invariance_test(so3(), (0, 0, 0), 0, 1.0, 10, eta=(1, 1, 1))
+            hn_invariance_test(so3(), covector_flow(so3(), (0, 0, 0), (1, 1, 1), 0, 1.0, 10))
 
 
 class TestCotangentLift:
     def test_abelian_exact(self):
-        res = cotangent_lift_check(abelian(), (0, 0), (1, 2), 0, 1.0, 100)
+        p = abelian()
+        res = cotangent_lift_check(p, covector_flow(p, (0, 0), (1, 2), 0, 1.0, 100))
         assert res.max_deviation == 0.0
 
     def test_so3_rotation(self):
-        res = cotangent_lift_check(so3(), (1, 0, 0), (0, 1, 0), 2, 1.0, 1000, tol=1e-6)
+        res = cotangent_lift_check(so3(), covector_flow(so3(), (1, 0, 0), (0, 1, 0), 2, 1.0, 1000), tol=1e-6)
         assert res.passed
 
     def test_gl2(self):
-        res = cotangent_lift_check(gl2(), (1, 0), (1, 1), 1, 1.0, 1000, tol=1e-6)
+        p = gl2()
+        res = cotangent_lift_check(p, covector_flow(p, (1, 0), (1, 1), 1, 1.0, 1000), tol=1e-6)
         assert res.passed
 
     def test_zero_time(self):
-        res = cotangent_lift_check(so3(), (1, 0, 0), (0, 1, 0), 2, 0.0, 1)
+        res = cotangent_lift_check(so3(), covector_flow(so3(), (1, 0, 0), (0, 1, 0), 2, 0.0, 1))
         assert res.max_deviation < 1e-15
+
+
+def test_scenario_checks_share_one_hamiltonian_flow(monkeypatch):
+    # one RK4 run for the H_a flow that both checks read, one for the lift
+    from folcone import poisson
+
+    starts = []
+    original = poisson.flow_rk4
+
+    def counted(rhs, start, t_final, steps):
+        starts.append(list(start))
+        return original(rhs, start, t_final, steps)
+
+    monkeypatch.setattr(poisson, "flow_rk4", counted)
+    res = check_scenario(so3(), (1, 0, 0), (0, 1, 0), 2, 1.0, 200, tol=1e-6)
+    assert res.passed and res.identity_defects == ()
+    # (m, rho*_m eta) for the H_a flow, (m, eta) for the cotangent lift
+    assert starts == [[1.0, 0.0, 0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
