@@ -2,12 +2,18 @@
 
 Rational matrices are plain ``list[list[Fraction]]`` and sparse rows are
 ``dict[int, Fraction]``; polynomial matrices are ``list[list[Polynomial]]``.
-Everything here is deterministic and exact.  Over Q there is one Gauss-Jordan
-elimination with Fractions, ``sparse_rref``: ``rref`` is its dense view, and
-``rank``, ``kernel_basis`` and ``solve_linear`` read its pivot rows.  Over
-polynomial entries elimination is fraction-free (Bareiss, exact-division
-form), so ranks and kernels over the fraction field Q(x) or Q(t) are
-certified rather than estimated.
+Everything here is deterministic and exact.  Over Q there is one
+elimination, run on Python ints: ``echelon`` clears each row of
+denominators and reduces it fraction-free against the rows before it,
+always at its smallest column, into primitive integer rows.
+``sparse_rref`` adds one fraction-free back-substitution and divides each
+row by its pivot only at the end; ``rref`` is its dense view, and ``rank``,
+``kernel_basis`` and ``solve_linear`` read its pivot rows.  Since the lead
+is the smallest column, the rows led by the last columns involve only
+those columns: a system whose wanted unknowns come last (the strong kernel)
+stops after ``echelon``.  Over polynomial entries elimination is
+fraction-free too (Bareiss, exact-division form), so ranks and kernels over
+the fraction field Q(x) or Q(t) are certified rather than estimated.
 """
 
 from __future__ import annotations
@@ -32,14 +38,17 @@ def fracs(row: Sequence) -> list[Fraction]:
 def primitive(vec: Sequence) -> list[int]:
     """Coprime integers proportional to ``vec`` (ints or Fractions), first
     nonzero entry positive; a zero vector stays zero."""
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    den = lcm(*[x.denominator for x in vec])
+    if den == 1:
+        ints = [x.numerator for x in vec]
+    else:
+        ints = [x.numerator * (den // x.denominator) for x in vec]
     g = gcd(*ints)
     if g == 0:
         return ints
     if next(n for n in ints if n) < 0:
         g = -g
-    return [n // g for n in ints]
+    return ints if g == 1 else [n // g for n in ints]
 
 
 def as_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -72,55 +81,89 @@ def lie_bracket(X: PolyVectorField, Y: PolyVectorField) -> PolyVectorField:
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jordan over Q: one sparse elimination, read densely where needed
+# Elimination over Q: one fraction-free forward pass on integer rows
 # ---------------------------------------------------------------------------
 
 SparseRow = dict[int, Fraction]
+IntRow = dict[int, int]
 
 
-def sparse_rref(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
-    """Full reduction of sparse rows; returns {pivot_col: normalized row}.
-
-    Every returned row has coefficient 1 at its pivot column, which is its
-    leading column, and 0 at every other pivot column: sorted by pivot column
-    the rows are the reduced echelon form, so kernel vectors and canonical
-    solutions read off directly.  Entries must be Fractions, since ``1 / x``
-    of an int is a float; ``pivot_rows`` converts dense rows.
-    """
-    pivots: dict[int, SparseRow] = {}
-    for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        # a pivot row is zero at every other pivot column, so eliminating one
-        # pivot column of r brings in no other: the hits are known up front
-        for hit in [c for c in r if c in pivots]:
-            _add_multiple(r, -r[hit], pivots[hit])
-        if not r:
-            continue
-        c = min(r)
-        if r[c] != 1:
-            inv = 1 / r[c]
-            r = {k: v * inv for k, v in r.items()}
-        for p in pivots.values():
-            coef = p.get(c)
-            if coef is not None:
-                _add_multiple(p, -coef, r)
-        pivots[c] = r
-    return pivots
-
-
-def _add_multiple(r: SparseRow, f: Fraction, p: SparseRow) -> None:
-    """r += f * p in place, keeping only nonzero entries."""
-    for k, v in p.items():
-        s = r[k] + f * v if k in r else f * v
+def _eliminate(r: IntRow, q: IntRow, c: int) -> IntRow:
+    """(a/g) r - (b/g) q with a = q[c], b = r[c] and g = gcd(a, b), divided by
+    its content: the integer row that vanishes at c (r may be changed in place)."""
+    a, b = q[c], r[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        r = {k: a * v for k, v in r.items()}
+    for k, v in q.items():
+        s = r.get(k, 0) - b * v
         if s:
             r[k] = s
         else:
             del r[k]
+    g = gcd(*r.values())
+    return {k: v // g for k, v in r.items()} if g > 1 else r
+
+
+def echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, IntRow]:
+    """Fraction-free forward elimination of sparse rational rows.
+
+    Returns {lead column: row}: each row is a primitive integer vector whose
+    smallest nonzero column is its lead, no two rows share a lead, and the
+    rows span the row space of the input.  A new row is reduced at its lead
+    by the row that owns that column (``_eliminate``), until its lead is new,
+    where its entry is made positive, or it vanishes.  A row with its lead
+    among the last columns involves only those columns, so the system's
+    kernel projected onto them is the kernel of those rows alone.
+    """
+    pivots: dict[int, IntRow] = {}
+    for row in rows:
+        r = {c: v for c, v in row.items() if v}
+        r = dict(zip(r, primitive(r.values())))
+        while r:
+            c = min(r)
+            q = pivots.get(c)
+            if q is None:
+                pivots[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
+                break
+            r = _eliminate(r, q, c)
+    return pivots
+
+
+def sparse_rref(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, SparseRow]:
+    """Full reduction of sparse rational rows; returns {pivot_col: normalized row}.
+
+    Every returned row has coefficient 1 at its pivot column, which is its
+    leading column, and 0 at every other pivot column: sorted by pivot column
+    the rows are the reduced echelon form, so kernel vectors and canonical
+    solutions read off directly.  Entries may be ints or Fractions; the
+    result holds Fractions.  This is ``echelon`` followed by a fraction-free
+    back-substitution from the highest pivot down, each row divided by its
+    pivot only at the end.
+    """
+    pivots = echelon(rows)
+    reduced: dict[int, IntRow] = {}
+    for c in sorted(pivots, reverse=True):
+        r = pivots[c]
+        # a reduced row is zero at every other pivot column above c, so
+        # clearing one column of r brings in no other: the hits are known
+        for h in [k for k in r if k in reduced]:
+            r = _eliminate(r, reduced[h], h)
+        reduced[c] = r
+    out: dict[int, SparseRow] = {}
+    for c, r in reduced.items():
+        d = r[c]
+        if d == 1:  # Fraction(v) skips the gcd that Fraction(v, 1) would take
+            out[c] = {k: Fraction(v) for k, v in r.items()}
+        else:
+            out[c] = {k: Fraction(v, d) for k, v in r.items()}
+    return out
 
 
 def pivot_rows(rows: Iterable[Sequence]) -> dict[int, SparseRow]:
-    """``sparse_rref`` of dense rows, their entries converted to Fractions first."""
-    return sparse_rref({c: x for c, x in enumerate(fracs(row)) if x} for row in rows)
+    """``sparse_rref`` of dense rows of ints or Fractions."""
+    return sparse_rref({c: x for c, x in enumerate(row) if x} for row in rows)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
@@ -181,7 +224,7 @@ def solve_linear(rows: Sequence[Sequence], b: Sequence) -> Vec | None:
 
     The canonical solution sets every free unknown to 0.
     """
-    rhs = fracs(b)
+    rhs = list(b)
     if len(rows) != len(rhs):
         raise ValueError("right-hand side has wrong length")
     ncols = len(rows[0]) if rows else 0

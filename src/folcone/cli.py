@@ -45,6 +45,8 @@ from .symbols import (
 )
 
 SCHEMA_VERSION = 1
+# RK4 steps per flow: 10^5 steps already take seconds, and time and memory grow with the count
+MAX_FLOW_STEPS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +450,8 @@ def _parse_scenario(text: str, preset: Preset) -> dict[str, Any]:
                 out["T"] = float(Fraction(value))
             elif key == "steps":
                 out["steps"] = int(value)
-                if out["steps"] < 1:
-                    raise ValueError("steps must be >= 1")
+                if not 1 <= out["steps"] <= MAX_FLOW_STEPS:
+                    raise ValueError(f"steps must be between 1 and {MAX_FLOW_STEPS}")
             else:
                 raise argparse.ArgumentTypeError(f"unknown scenario key {key!r}")
         except (ValueError, ZeroDivisionError, OverflowError) as exc:

@@ -195,29 +195,40 @@ def default_strong_kernel_bound(p: FoliationPresentation) -> int:
 
 
 def _membership_rows(
-    anchor: PolyMatrix, monos: Sequence[tuple[int, ...]], target: PolyVectorField | None = None
+    anchor: PolyMatrix,
+    monos: Sequence[tuple[int, ...]],
+    target: PolyVectorField | None = None,
+    constants_last: bool = False,
 ) -> list[algebra.SparseRow]:
     """Sparse rows of sum_k f_k X_k = target, one per (component, monomial).
 
     ``anchor[l][k]`` is component l of X_k.  Unknown ``k * len(monos) + i`` is
     the coefficient of ``monos[i]`` in f_k, and the target's coefficients sit
     in column ``len(anchor[0]) * len(monos)``; without a target the system is
-    homogeneous.
+    homogeneous.  With ``constants_last`` the coefficients of the constant
+    monomial ``monos[0]`` move to the last columns: f_k(0) is unknown
+    ``N * (len(monos) - 1) + k``, N = ``len(anchor[0])``, and the other
+    unknowns close up in order.
     """
-    n_monos = len(monos)
-    target_col = len(anchor[0]) * n_monos
+    n_gens, n_monos = len(anchor[0]), len(monos)
+    target_col = n_gens * n_monos
+    if constants_last:
+        cols = [
+            [n_gens * (n_monos - 1) + k] + [k * (n_monos - 1) + i for i in range(n_monos - 1)]
+            for k in range(n_gens)
+        ]
+    else:
+        cols = [[k * n_monos + i for i in range(n_monos)] for k in range(n_gens)]
     equations: dict[tuple[int, tuple[int, ...]], algebra.SparseRow] = {}
     for l, comps in enumerate(anchor):
         for k, entry in enumerate(comps):
             for alpha, coeff in entry.terms.items():
-                for i, mu in enumerate(monos):
-                    row = equations.setdefault((l, tuple(a + b for a, b in zip(alpha, mu))), {})
-                    col = k * n_monos + i
-                    row[col] = row.get(col, Fraction(0)) + coeff
+                for col, mu in zip(cols[k], monos):
+                    # alpha = beta - mu: each unknown meets each equation once
+                    equations.setdefault((l, tuple(a + b for a, b in zip(alpha, mu))), {})[col] = coeff
         if target is not None:
             for alpha, coeff in target.components[l].terms.items():
-                row = equations.setdefault((l, alpha), {})
-                row[target_col] = row.get(target_col, Fraction(0)) + coeff
+                equations.setdefault((l, alpha), {})[target_col] = coeff
     return list(equations.values())
 
 
@@ -228,7 +239,10 @@ def strong_kernel_at(
 
     Monotone non-decreasing in D and always contained in ker(anchor at m).
     The system is recentred at m so the evaluation is the constant coefficient,
-    then solved as one sparse exact linear system over the monomial unknowns.
+    and the N constant coefficients are its last unknowns.  One forward
+    elimination (``algebra.echelon``) then leaves them the rows whose lead is
+    among them; those rows involve only the constants, and their kernel is
+    the projection of the whole kernel onto the constants.
     """
     if degree_bound is None:
         degree_bound = default_strong_kernel_bound(p)
@@ -238,10 +252,10 @@ def strong_kernel_at(
     big_n = p.num_generators
     shifted = [[entry.shift(point) for entry in row] for row in p.anchor()]
     monos = monomials_up_to(p.dim, degree_bound)
-    pivots = algebra.sparse_rref(_membership_rows(shifted, monos))
-    # the constant monomial comes first, so f_j(m) is unknown j * len(monos)
-    coords = [j * len(monos) for j in range(big_n)]
-    values = algebra.kernel_vectors(pivots, big_n * len(monos), coords)
+    first = big_n * (len(monos) - 1)
+    rows = algebra.echelon(_membership_rows(shifted, monos, constants_last=True))
+    tail = [{c - first: v for c, v in row.items()} for lead, row in rows.items() if lead >= first]
+    values = algebra.kernel_vectors(algebra.sparse_rref(tail), big_n, range(big_n))
     return make_subspace(values, big_n)
 
 

@@ -338,9 +338,13 @@ def limit_along_curve_detailed(
         if len(pivots) == rank:
             break
         c = algebra.kernel_vectors(pivots, rank, range(rank))[0]
-        j = next(i for i, x in enumerate(c) if x)
+        terms = [(i, x) for i, x in enumerate(c) if x]
+        j = terms[0][0]
         # c^T R(t) vanishes at t = 0; its coefficients of t, t^2, ... become row j
-        shifted = [algebra.mat_vec(algebra.transpose(r_d), c) for r_d in coeffs[1:]]
+        shifted = [
+            tuple(sum((x * r_d[i][col] for i, x in terms), Fraction(0)) for col in range(n_cols))
+            for r_d in coeffs[1:]
+        ]
         for r_d, row in zip(coeffs, shifted + [(Fraction(0),) * n_cols]):
             r_d[j] = row
         steps += 1

@@ -323,13 +323,13 @@ mixed_entry = st.one_of(rational_entry, st.integers(-3, 3))
 
 
 @st.composite
-def dependent_matrices(draw, max_rows=5, max_cols=5):
+def dependent_matrices(draw, max_rows=5, max_cols=5, entry=mixed_entry):
     """Random rational matrices, possibly empty, zero, 1 x N or N x 1, often
     with rows that are combinations of earlier ones."""
     ncols = draw(st.integers(0, max_cols))
-    rows = draw(st.lists(st.lists(mixed_entry, min_size=ncols, max_size=ncols), max_size=max_rows))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=max_rows))
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
-        coeffs = draw(st.lists(mixed_entry, min_size=len(rows), max_size=len(rows)))
+        coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
         at = draw(st.integers(0, len(rows)))
         rows.insert(at, [sum((a * row[c] for a, row in zip(coeffs, rows)), Fraction(0)) for c in range(ncols)])
     return rows
@@ -353,6 +353,34 @@ def test_solve_linear_returns_the_oracle_solution(rows, data):
     if x is not None:
         assert all(type(v) is Fraction for v in x)
         assert list(algebra.mat_vec(rows, x)) == b
+
+
+# 60-bit numerators and denominators beside small ints and Fractions
+wide_entry = st.one_of(
+    mixed_entry,
+    st.integers(-(2**60), 2**60),
+    st.builds(Fraction, st.integers(-(2**60), 2**60), st.integers(1, 2**60)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dependent_matrices(max_rows=6, max_cols=6, entry=wide_entry))
+def test_sparse_rref_and_echelon_match_the_dense_oracle(rows):
+    ncols = len(rows[0]) if rows else 0
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    red, pivots = dense_rref(rows)
+    reduced = algebra.sparse_rref(sparse)
+    assert reduced == {c: {k: x for k, x in enumerate(red[i]) if x} for i, c in enumerate(pivots)}
+    assert all(type(x) is Fraction for row in reduced.values() for x in row.values())
+    # the forward pass: primitive integer rows, each led by its smallest
+    # column, spanning the same row space, so their leads are the pivots
+    forward = algebra.echelon(sparse)
+    assert sorted(forward) == pivots
+    for lead, row in forward.items():
+        assert lead == min(row) and row[lead] > 0
+        assert all(type(x) is int for x in row.values()) and math.gcd(*row.values()) == 1
+    dense_forward = [[row.get(k, 0) for k in range(ncols)] for row in forward.values()]
+    assert dense_rref(dense_forward)[0] == red[: len(pivots)]
 
 
 def dense_membership(p, target, bound):

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from folcone.cli import main
+from folcone.cli import MAX_FLOW_STEPS, _parse_scenario, main
 from folcone.presets import BUILTIN_NAMES, PresetError, load_preset, parse_preset_text
 
 
@@ -223,6 +224,8 @@ class TestCommands:
             ("poisson-check", "so3_r3", "--tol", "nan"),
             ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;T=1e400"),
             ("poisson-check", "so3_r3", "--scenario", "point=1e400,0,0;gen=g3"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;steps=100001"),
+            ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;steps=100000000"),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, argv):
@@ -230,6 +233,13 @@ class TestCommands:
         assert code == 2 and out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "Traceback" not in err
+
+    def test_flow_steps_capped_at_the_limit(self):
+        # the cap itself parses; one step more is refused before any flow runs
+        preset = load_preset("so3_r3")
+        assert _parse_scenario(f"point=1,0,0;steps={MAX_FLOW_STEPS}", preset)["steps"] == MAX_FLOW_STEPS
+        with pytest.raises(argparse.ArgumentTypeError, match=f"steps must be between 1 and {MAX_FLOW_STEPS}$"):
+            _parse_scenario(f"point=1,0,0;steps={MAX_FLOW_STEPS + 1}", preset)
 
     def test_odd_degree_elliptic_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1", "--points", "1,0,0")

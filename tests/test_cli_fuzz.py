@@ -42,8 +42,11 @@ def scenario(n):
         st.one_of(number, st.sampled_from(["1/10", "1/2"])).map("T={}".format),
         st.sampled_from(["=", "bogus=1", "point"]),
     )
-    # few steps keep each flow short
-    steps = st.sampled_from(["1", "5", "20", "0", "-1", "x", "1e3"]).map("steps={}".format)
+    # few steps keep each flow short; counts above the cap are refused before
+    # any flow runs
+    steps = st.sampled_from(
+        ["1", "5", "20", "0", "-1", "x", "1e3", "100001", "100000000", "10" * 20]
+    ).map("steps={}".format)
     return st.tuples(st.lists(chunk, max_size=4), steps).map(lambda c: ";".join(c[0] + [c[1]]))
 
 

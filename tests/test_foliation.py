@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +11,9 @@ from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
 from folcone.foliation import (
     FoliationPresentation,
     MissingStructureFunctions,
+    _membership_rows,
     anchor_matrix,
+    default_strong_kernel_bound,
     isotropy_algebra,
     jacobi_flag,
     kernel_at,
@@ -21,7 +24,8 @@ from folcone.foliation import (
     strong_kernel_at,
     structure_defect,
 )
-from folcone.presets import load_preset
+from folcone.grassmann import make_subspace
+from folcone.presets import BUILTIN_NAMES, load_preset
 
 XYZ = ("x", "y", "z")
 XY = ("x", "y")
@@ -141,6 +145,42 @@ class TestStrongKernel:
         s = strong_kernel_at(o2, (0, 1), 2)
         assert s.contains_vector((1, 0, 0, 0, 0, 0))
         assert s == kernel_at(o2, (0, 1))
+
+
+def projected_strong_kernel(p, m, bound):
+    """The strong kernel by the full route: reduce the whole degree-bounded
+    system and project every kernel vector onto the constant coefficients."""
+    point = [Fraction(x) for x in m]
+    shifted = [[entry.shift(point) for entry in row] for row in p.anchor()]
+    monos = monomials_up_to(p.dim, bound)
+    pivots = algebra.sparse_rref(_membership_rows(shifted, monos))
+    coords = [j * len(monos) for j in range(p.num_generators)]
+    values = algebra.kernel_vectors(pivots, p.num_generators * len(monos), coords)
+    return make_subspace(values, p.num_generators)
+
+
+def seeded_points(name, dim):
+    rng = random.Random(name)
+    points = [(0,) * dim]
+    for _ in range(2):
+        points.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim)))
+    return points
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "so3_augmented"])
+def test_strong_kernel_equals_the_full_projection(name):
+    p = fresh_so3_augmented() if name == "so3_augmented" else load_preset(name).presentation
+    for m in seeded_points(name, p.dim):
+        for bound in range(default_strong_kernel_bound(p) + 1):
+            assert strong_kernel_at(p, m, bound) == projected_strong_kernel(p, m, bound), (m, bound)
+
+
+def test_strong_kernel_of_r4_at_a_point_with_large_coordinates():
+    p = load_preset("r4_counterexample").presentation
+    m = (10**12 + 39, -(7**20), 3**25, 2**61 - 1)
+    s = strong_kernel_at(p, m)
+    assert s == projected_strong_kernel(p, m, default_strong_kernel_bound(p))
+    assert s.dim == 12
 
 
 class TestStructureFunctions:
