@@ -30,6 +30,7 @@ from .foliation import (
     FoliationPresentation,
     IsotropyAlgebra,
     MissingStructureFunctions,
+    Structure,
     anchor_matrix,
     isotropy_algebra,
     jacobi_flag,
@@ -51,6 +52,7 @@ from .grassmann import (
 from .hncone import (
     HNFiberSample,
     NashFiberSample,
+    cone_checks,
     curve_family,
     hn_fiber,
     hn_membership_distance,
@@ -79,6 +81,7 @@ from .symbols import (
     classical_principal_symbol,
     ellipticity_check,
     pullback_consistency,
+    pullback_defect,
     realize,
     symbol_on_fiber,
     symbol_top,

@@ -17,21 +17,15 @@ import numpy as np
 
 from . import algebra
 from .expr import Polynomial
-from .foliation import (
-    FoliationPresentation,
-    isotropy_algebra,
-    monomials_up_to,
-    regular_data,
-    solve_structure_functions,
-)
+from .foliation import FoliationPresentation, isotropy_algebra, monomials_up_to
 from .grassmann import Curve, Subspace, annihilator, make_subspace, principal_angle
-from .hncone import curve_family, hn_fiber, limit_subalgebra_check, nash_fiber, sandwich_check
+from .hncone import cone_checks, curve_family, hn_fiber, nash_fiber
 from .poisson import check_scenario
-from .presets import load_preset
+from .presets import BUILTIN_NAMES, load_preset
 from .symbols import (
     UEAElement,
-    classical_principal_symbol,
     ellipticity_check,
+    pullback_consistency,
     realize,
     symbol_on_fiber,
     symbol_top,
@@ -50,21 +44,6 @@ def _result(num: int, title: str, failures: list[str], detail: str = "") -> Crit
     if failures:
         return CriterionResult(num, title, False, "; ".join(failures[:5]))
     return CriterionResult(num, title, True, detail)
-
-
-def _sample_regular_points(p: FoliationPresentation, count: int, seed: int):
-    _, is_regular = regular_data(p)
-    rng = random.Random(seed)
-    points = []
-    guard = 0
-    while len(points) < count and guard < 1000 * count:
-        guard += 1
-        m = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(p.dim))
-        if is_regular(m):
-            points.append(m)
-    if len(points) < count:
-        raise RuntimeError("could not sample enough regular points")
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -261,46 +240,21 @@ def _random_element(p: FoliationPresentation, rng: random.Random) -> UEAElement:
         words.append(OperatorWord(coeff, letters))
     element = UEAElement.from_words(words, p.vars)
     if element.is_zero() or element.degree == 0:
-        letters = (0,) if p.num_generators else ()
         element = UEAElement.from_words([OperatorWord(Polynomial.one(p.vars), (0,))], p.vars)
     return element
 
 
 @lru_cache(maxsize=None)
 def criterion_6() -> CriterionResult:
-    title = "pullback consistency: classical vs top symbol at 20 regular samples per preset"
-    names = (
-        "debord_line",
-        "so3_r3",
-        "vanishing_origin_2",
-        "vanishing_origin_3",
-        "order2_r2",
-        "r4_counterexample",
-    )
+    title = "pullback consistency: classical symbol = top symbol through the transposed anchor"
     failures = []
-    for name in names:
+    for name in BUILTIN_NAMES:
         p = load_preset(name).presentation
         rng = random.Random(6)
-        elements = [_random_element(p, rng) for _ in range(5)]
-        points = _sample_regular_points(p, 20, seed=60)
-        eta_rng = random.Random(61)
-        pairs = [
-            (m, tuple(Fraction(eta_rng.randint(-9, 9), eta_rng.randint(1, 3)) for _ in range(p.dim)))
-            for m in points
-        ]
-        for e_idx, element in enumerate(elements):
-            k = element.degree
-            classical = classical_principal_symbol(realize(element, p), k)
-            top = symbol_top(element, k, fiber_dim=p.num_generators)
-            for m, eta in pairs:
-                pulled = algebra.mat_vec(algebra.transpose(p.anchor_at(m)), eta)
-                if classical.eval(m, eta) != top.eval(m, pulled):
-                    failures.append(f"{name}: element {e_idx} fails at m={m}")
-                    break
-            else:
-                continue
-            break
-    return _result(6, title, failures, "6 presets x 5 elements x 20 samples, exact equality")
+        for e_idx in range(5):
+            if not pullback_consistency(_random_element(p, rng), p).ok:
+                failures.append(f"{name}: element {e_idx} fails")
+    return _result(6, title, failures, "6 presets x 5 elements, exact identities in Q[x, eta]")
 
 
 # ---------------------------------------------------------------------------
@@ -334,15 +288,10 @@ def criterion_7() -> CriterionResult:
         if not sample.limits:
             failures.append(f"{name}: empty sample")
             continue
-        if not p.has_structure():
-            solve_structure_functions(p)
-        iso = isotropy_algebra(p, point)
-        sw = sandwich_check(p, sample, iso.sker)
-        if not sw.ok:
-            failures.append(f"{name}: {sw.violations[0]}")
-        sub = limit_subalgebra_check(p, sample, iso)
-        if not sub.ok:
-            failures.append(f"{name}: {sub.violations[0]}")
+        checks = cone_checks(p, sample)
+        for report in (checks.sandwich, checks.subalgebra):
+            if not report.ok:
+                failures.append(f"{name}: {report.violations[0]}")
     return _result(7, title, failures, "5 presets at their singular point, all inclusions exact")
 
 
@@ -371,8 +320,6 @@ def criterion_8() -> CriterionResult:
     failures = []
     for name, scenarios in _POISSON_SCENARIOS.items():
         p = load_preset(name).presentation
-        if not p.has_structure():
-            solve_structure_functions(p)
         for idx, (m, gen, eta) in enumerate(scenarios):
             res = check_scenario(p, m, eta, gen, 1.0, 1000, tol=1e-6)
             if res.identity_defects:

@@ -22,17 +22,17 @@ from typing import Any, Sequence
 from . import __version__
 from .expr import ParseError, parse_operator, poly_to_string
 from .foliation import (
+    FoliationPresentation,
     MissingStructureFunctions,
     default_strong_kernel_bound,
     isotropy_algebra,
     jacobi_flag,
     leaf_dimension_at,
     regular_data,
-    solve_structure_functions,
     strong_kernel_at,
 )
 from .grassmann import Subspace
-from .hncone import curve_family, limit_subalgebra_check, nash_fiber, sandwich_check
+from .hncone import cone_checks, curve_family, hn_fiber, nash_fiber
 from .poisson import NonFiniteState, check_scenario
 from .presets import BUILTIN_NAMES, Preset, PresetError, load_preset
 from .symbols import (
@@ -172,12 +172,11 @@ def _curve_description(args) -> dict[str, Any]:
     }
 
 
-def _ensure_structure(preset: Preset, bound: int | None) -> int | None:
-    p = preset.presentation
-    if p.has_structure():
-        return p.structure_bound_used
-    solved = solve_structure_functions(p, bound)
-    return p.structure_bound_used if solved is not None else None
+def _structure_bound(p: FoliationPresentation) -> int | None:
+    """The degree bound that solving the structure functions needed; None
+    when they were given or are absent."""
+    structure = p.structure()
+    return structure.bound_used if structure is not None else None
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +191,7 @@ def cmd_analyze(args) -> int:
     bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
     points = args.points or _default_points(p.dim)
     _check_points(preset, points)
-    structure_bound = _ensure_structure(preset, None)
+    structure_bound = _structure_bound(p)
     results: dict[str, Any] = {
         "name": p.name,
         "vars": list(p.vars),
@@ -248,7 +247,11 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
     m = args.point
     _check_points(preset, [m])
     curves = curve_family(m, args.curves, args.arc_degree, args.seed)
-    sample = nash_fiber(p, m, curves)
+    if dual:
+        fiber = hn_fiber(p, m, curves)
+        sample = fiber.nash
+    else:
+        sample = nash_fiber(p, m, curves)
     exit_code = 0
     results: dict[str, Any] = {
         "point": _vec(m),
@@ -268,16 +271,11 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
     }
     spaces = sample.limits
     if dual:
-        from .grassmann import annihilator
-
-        covector_spaces = tuple(annihilator(v) for v in sample.limits)
-        results["covector_spaces"] = [_subspace(s) for s in covector_spaces]
-        spaces = covector_spaces
+        results["covector_spaces"] = [_subspace(s) for s in fiber.spaces]
+        spaces = fiber.spaces
         bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
-        structure_bound = _ensure_structure(preset, None)
-        # one strong-kernel solve: the isotropy algebra's, when structure exists
-        iso = isotropy_algebra(p, m, bound) if p.has_structure() else None
-        sw = sandwich_check(p, sample, iso.sker if iso is not None else strong_kernel_at(p, m, bound))
+        checks = cone_checks(p, sample, bound)
+        sw, sub = checks.sandwich, checks.subalgebra
         results["sandwich"] = {
             "ok": sw.ok,
             "degree_bound": bound,
@@ -285,8 +283,7 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
         }
         if not sw.ok:
             exit_code = 1
-        if iso is not None:
-            sub = limit_subalgebra_check(p, sample, iso)
+        if sub is not None:
             results["subalgebra"] = {
                 "ok": sub.ok,
                 "expected_codim": sub.expected_codim,
@@ -296,7 +293,7 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
                 exit_code = 1
         else:
             results["subalgebra"] = {"ok": None, "note": "structure functions unavailable"}
-        results["structure_bound_used"] = structure_bound
+        results["structure_bound_used"] = _structure_bound(p)
     if args.csv:
         _csv_fibers(args.csv, f"{'hn' if dual else 'nash'}_fiber", spaces)
     return results, exit_code
@@ -382,8 +379,7 @@ def cmd_elliptic(args) -> int:
             seed=args.seed,
             direction_count=args.curves,
             arc_degree=args.arc_degree,
-            convention=args.convention,
-            force_odd=args.force_odd,
+            convention="nonvanishing" if args.force_odd else args.convention,
         )
     except OddDegreeWarning as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -492,7 +488,7 @@ def _auto_scenarios(preset: Preset, seed: int) -> list[dict[str, Any]]:
 def cmd_poisson_check(args) -> int:
     preset = _load(args)
     p = preset.presentation
-    if _ensure_structure(preset, None) is None and not p.has_structure():
+    if not p.has_structure():
         print("error: no structure functions available for this preset", file=sys.stderr)
         return 2
     scenarios = (

@@ -116,10 +116,6 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
-    def degree_in(self, name: str) -> int:
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * len(self.vars), Fraction(0))
 

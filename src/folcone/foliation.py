@@ -1,8 +1,11 @@
 """Foliation presentations, pointwise kernels, strong kernels, isotropy algebras.
 
-A presentation is an anchored module of polynomial vector fields: generators
-X_1..X_N over base variables x_1..x_n, together with (optional) structure
-functions c with [X_i, X_j] = sum_k c_ij^k X_k as exact polynomial identities.
+A presentation is an immutable anchored module of polynomial vector fields:
+generators X_1..X_N over base variables x_1..x_n.  It owns its structure
+functions c with [X_i, X_j] = sum_k c_ij^k X_k as exact polynomial
+identities: either the ones given in the input, validated on construction,
+or the ones ``solve_structure_functions`` finds at the default degree bound,
+solved on first use and memoised like the anchor and the generic rank.
 
 The strong kernel at a point m is approximated by degree-bounded syzygies:
 values f(m) of polynomial vectors f with sum_j f_j X_j = 0 identically and
@@ -12,7 +15,7 @@ approximation, with the bracket induced by constant-coefficient lifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -29,29 +32,42 @@ class MissingStructureFunctions(RuntimeError):
 StructureArray = tuple[tuple[tuple[Polynomial, ...], ...], ...]  # c[i][j] = vector over generators
 
 
-@dataclass
+@dataclass(frozen=True)
+class Structure:
+    """Structure functions c[i][j][k] = c_ij^k, with the degree bound their
+    solve needed (None when they were given)."""
+
+    functions: StructureArray
+    bound_used: int | None = None
+
+
+@dataclass(frozen=True)
 class FoliationPresentation:
     """Generators of a polynomial singular foliation, as an anchored bundle."""
 
     vars: tuple[str, ...]
     generators: tuple[PolyVectorField, ...]
-    structure_functions: StructureArray | None = None
+    given_structure: StructureArray | None = None
     name: str = ""
-    structure_bound_used: int | None = None
+    # anchor, generic rank and structure, each computed on first use
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vars = tuple(self.vars)
-        self.generators = tuple(self.generators)
+        object.__setattr__(self, "vars", tuple(self.vars))
+        object.__setattr__(self, "generators", tuple(self.generators))
         for g in self.generators:
             if g.vars != self.vars:
                 raise ValueError("generator over wrong variable set")
-        if self.structure_functions is not None:
-            self.structure_functions = _normalize_structure(self)
+        if self.given_structure is not None:
+            object.__setattr__(self, "given_structure", _normalize_structure(self))
             err = structure_defect(self)
             if err is not None:
                 raise ValueError(err)
-        self._anchor: PolyMatrix | None = None
-        self._generic_rank: int | None = None
+
+    def _memoised(self, key: str, compute: Callable):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- basic data ---------------------------------------------------------
 
@@ -67,33 +83,42 @@ class FoliationPresentation:
         return max((g.max_degree() for g in self.generators), default=0)
 
     def anchor(self) -> PolyMatrix:
-        if self._anchor is None:
-            self._anchor = anchor_matrix(self)
-        return self._anchor
+        return self._memoised("anchor", lambda: anchor_matrix(self))
 
     def anchor_at(self, m: Sequence) -> Matrix:
         return algebra.eval_poly_matrix(self.anchor(), m)
 
     def generic_rank(self) -> int:
-        if self._generic_rank is None:
-            self._generic_rank = algebra.generic_rank(self.anchor())
-        return self._generic_rank
+        return self._memoised("generic_rank", lambda: algebra.generic_rank(self.anchor()))
 
     def bracket(self, i: int, j: int) -> PolyVectorField:
         return algebra.lie_bracket(self.generators[i], self.generators[j])
 
-    def has_structure(self) -> bool:
-        return self.structure_functions is not None
+    def structure(self) -> Structure | None:
+        """The given structure functions, else those solved at the default
+        bound on first use; None when no solution exists within it."""
 
-    def structure_at(self, i: int, j: int, m: Sequence) -> Vec:
-        if self.structure_functions is None:
-            raise MissingStructureFunctions("structure functions unavailable")
-        return tuple(p.eval(m) for p in self.structure_functions[i][j])
+        def resolve() -> Structure | None:
+            if self.given_structure is not None:
+                return Structure(self.given_structure)
+            return solve_structure_functions(self)
+
+        return self._memoised("structure", resolve)
+
+    def has_structure(self) -> bool:
+        return self.structure() is not None
+
+    def require_structure(self, what: str) -> StructureArray:
+        """The structure functions, or MissingStructureFunctions saying ``what`` needs them."""
+        s = self.structure()
+        if s is None:
+            raise MissingStructureFunctions(f"{what} needs structure functions")
+        return s.functions
 
 
 def _normalize_structure(p: FoliationPresentation) -> StructureArray:
     n = p.num_generators
-    c = p.structure_functions
+    c = p.given_structure
     if len(c) != n or any(len(row) != n for row in c):
         raise ValueError("structure array must be N x N")
     out = []
@@ -109,8 +134,8 @@ def _normalize_structure(p: FoliationPresentation) -> StructureArray:
 
 
 def structure_defect(p: FoliationPresentation) -> str | None:
-    """None when the stored structure functions satisfy all identities exactly."""
-    c = p.structure_functions
+    """None when the presentation's structure functions satisfy all identities exactly."""
+    c = p.require_structure("structure_defect")
     n = p.num_generators
     zero = Polynomial.zero(p.vars)
     for i in range(n):
@@ -261,13 +286,13 @@ def strong_kernel_at(
 
 def solve_structure_functions(
     p: FoliationPresentation, degree_bound: int | None = None
-) -> StructureArray | None:
-    """Fill c_ij^k (degree <= bound) with [X_i,X_j] = sum_k c X_k, or None.
+) -> Structure | None:
+    """Find c_ij^k (degree <= bound) with [X_i,X_j] = sum_k c X_k, or None.
 
     Bounds are tried in increasing order so that constant solutions are
     preferred when they exist; per-pair systems are solved independently and
-    ties are broken by the canonical echelon solution.  On success the array
-    is stored on the presentation.
+    ties are broken by the canonical echelon solution.  The presentation is
+    left as it is: ``p.structure()`` memoises this solve at the default bound.
     """
     if degree_bound is None:
         degree_bound = max(p.max_generator_degree(), 0)
@@ -293,10 +318,7 @@ def solve_structure_functions(
                 return None
             c[i][j] = sol
             c[j][i] = tuple(-q for q in sol)
-    result: StructureArray = tuple(tuple(row) for row in c)  # type: ignore[arg-type]
-    p.structure_functions = result
-    p.structure_bound_used = bound_used
-    return result
+    return Structure(tuple(tuple(row) for row in c), bound_used)  # type: ignore[arg-type]
 
 
 def _solve_membership(
@@ -317,16 +339,14 @@ def _solve_membership(
 
 
 def jacobi_flag(p: FoliationPresentation) -> bool:
-    """True when the stored structure functions satisfy the Jacobi identity.
+    """True when the structure functions satisfy the Jacobi identity.
 
     The cyclic sum of [[e_i,e_j],e_k]-expansions through c and anchor
     derivatives must vanish identically; almost-Lie structures may fail this.
     The Jacobiator is alternating (given antisymmetric c), so distinct
     index triples suffice.
     """
-    if p.structure_functions is None:
-        raise MissingStructureFunctions("structure functions unavailable")
-    c = p.structure_functions
+    c = p.require_structure("the Jacobi flag")
     n = p.num_generators
     zero = Polynomial.zero(p.vars)
     nonzero = [
@@ -410,10 +430,7 @@ def isotropy_algebra(
     p: FoliationPresentation, m: Sequence, degree_bound: int | None = None
 ) -> IsotropyAlgebra:
     """Quotient ker/Sker_D at m with the constant-coefficient-lift bracket."""
-    if p.structure_functions is None:
-        raise MissingStructureFunctions(
-            "isotropy bracket needs structure functions (given or solved)"
-        )
+    p.require_structure("the isotropy bracket")
     if degree_bound is None:
         degree_bound = default_strong_kernel_bound(p)
     point = tuple(Fraction(x) for x in m)
@@ -443,6 +460,7 @@ def _constant_lift_bracket_value(
     p: FoliationPresentation, u: Sequence[Fraction], v: Sequence[Fraction], m: Sequence
 ) -> Vec:
     """Value at m of [sum u_i e_i, sum v_j e_j] via structure functions."""
+    c = p.require_structure("the isotropy bracket")
     n = p.num_generators
     out = [Fraction(0)] * n
     for i, ui in enumerate(u):
@@ -451,7 +469,7 @@ def _constant_lift_bracket_value(
         for j, vj in enumerate(v):
             if vj == 0:
                 continue
-            cij = p.structure_at(i, j, m)
+            cij = [q.eval(m) for q in c[i][j]]
             for k in range(n):
                 out[k] += ui * vj * cij[k]
     return tuple(out)

@@ -18,7 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
-from .foliation import FoliationPresentation, IsotropyAlgebra, kernel_at, leaf_dimension_at
+from .foliation import (
+    FoliationPresentation,
+    IsotropyAlgebra,
+    default_strong_kernel_bound,
+    isotropy_algebra,
+    kernel_at,
+    leaf_dimension_at,
+    strong_kernel_at,
+)
 from .grassmann import Curve, CurveNotGeneric, Subspace, annihilator, limit_along_curve_detailed
 
 
@@ -271,6 +279,27 @@ def limit_subalgebra_check(
         tuple(codim_flags),
         tuple(violations),
     )
+
+
+@dataclass(frozen=True)
+class ConeChecks:
+    sandwich: SandwichReport
+    subalgebra: SubalgebraReport | None  # None without structure functions
+
+
+def cone_checks(
+    p: FoliationPresentation, sample: NashFiberSample, degree_bound: int | None = None
+) -> ConeChecks:
+    """The sandwich check at the sample's point and, when the presentation
+    has structure functions, the limit-subalgebra check, from one strong
+    kernel: the isotropy algebra's when there is one."""
+    if degree_bound is None:
+        degree_bound = default_strong_kernel_bound(p)
+    if not p.has_structure():
+        sker = strong_kernel_at(p, sample.point, degree_bound)
+        return ConeChecks(sandwich_check(p, sample, sker), None)
+    iso = isotropy_algebra(p, sample.point, degree_bound)
+    return ConeChecks(sandwich_check(p, sample, iso.sker), limit_subalgebra_check(p, sample, iso))
 
 
 def hn_membership_distance(sample: HNFiberSample, xi: Sequence[float]) -> float:

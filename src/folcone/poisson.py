@@ -18,7 +18,7 @@ import numpy as np
 
 from . import algebra
 from .expr import Polynomial, PolyVectorField
-from .foliation import FoliationPresentation, MissingStructureFunctions, regular_data
+from .foliation import FoliationPresentation, regular_data
 from .grassmann import Curve
 from .hncone import hn_fiber, hn_membership_distance
 
@@ -78,8 +78,7 @@ def ev(p: FoliationPresentation, a: Sequence) -> Polynomial:
 
 def poisson_bracket(p: FoliationPresentation, f: Polynomial, g: Polynomial) -> Polynomial:
     """Exact bracket of two polynomial functions on the dual bundle."""
-    if p.structure_functions is None:
-        raise MissingStructureFunctions("Poisson bracket needs structure functions")
+    structure = p.require_structure("the Poisson bracket")
     names = dual_vars(p)
     if f.vars != names or g.vars != names:
         raise ValueError("arguments must live on the dual bundle's variables")
@@ -97,7 +96,7 @@ def poisson_bracket(p: FoliationPresentation, f: Polynomial, g: Polynomial) -> P
             if dg_xi[j].is_zero():
                 continue
             for k in range(big_n):
-                c = p.structure_functions[i][j][k]
+                c = structure[i][j][k]
                 if c.is_zero():
                     continue
                 xi_k = Polynomial.var(names[n + k], names)
@@ -158,8 +157,7 @@ class HamiltonianField:
 
 def hamiltonian_field(p: FoliationPresentation, a) -> HamiltonianField:
     """Hamiltonian field of ev_a for a generator index or constant combination."""
-    if p.structure_functions is None:
-        raise MissingStructureFunctions("Hamiltonian fields need structure functions")
+    structure = p.require_structure("a Hamiltonian field")
     if isinstance(a, int):
         combo = [Fraction(0)] * p.num_generators
         combo[a] = Fraction(1)
@@ -183,7 +181,7 @@ def hamiltonian_field(p: FoliationPresentation, a) -> HamiltonianField:
             if ci == 0:
                 continue
             for k in range(p.num_generators):
-                c = p.structure_functions[i][j][k]
+                c = structure[i][j][k]
                 if not c.is_zero():
                     row[k] = row[k] + ci * c
         fiber.append(tuple(row))
@@ -196,6 +194,7 @@ def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -
     H_a[ev_{e_j}] must equal ev_[a, e_j] and H_a[x_l] must equal rho(a)_l,
     as polynomial identities on the dual bundle.
     """
+    structure = p.require_structure("the Hamiltonian identities")
     defects = []
     names = dual_vars(p)
     n, big_n = p.dim, p.num_generators
@@ -227,7 +226,7 @@ def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -
             if ci == 0:
                 continue
             for k in range(big_n):
-                c = p.structure_functions[i][j][k]
+                c = structure[i][j][k]
                 if not c.is_zero():
                     rhs = rhs + ci * promote_base(p, c) * Polynomial.var(names[n + k], names)
         if lhs != rhs:

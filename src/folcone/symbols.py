@@ -13,7 +13,6 @@ only on the realized operator, which the test suites check exactly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +27,7 @@ from .hncone import hn_fiber
 
 
 class OddDegreeWarning(ValueError):
-    """Positivity verdicts need an even degree; pass force_odd to use |symbol|."""
+    """Positivity verdicts need an even degree; the nonvanishing convention judges |symbol|."""
 
 
 # ---------------------------------------------------------------------------
@@ -370,46 +369,46 @@ def symbol_on_fiber(sigma: SymbolPolynomial, m: Sequence, v_dual: Subspace) -> P
 
 
 # ---------------------------------------------------------------------------
-# Pullback consistency at regular points
+# Pullback along the transposed anchor
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class PullbackReport:
-    point: tuple[Fraction, ...]
-    trials: int
-    failures: tuple[str, ...]
+    """sigma_cl(x, eta) - sigma_top(x, rho(x)^T eta) in Q[x, eta]."""
+
+    defect: Polynomial
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.defect.is_zero()
 
 
-def pullback_consistency(
-    element: UEAElement,
-    p: FoliationPresentation,
-    m: Sequence,
-    trials: int = 20,
-    seed: int = 0,
-) -> PullbackReport:
-    """classical symbol of the realization at (m, eta) vs top symbol at
-    (m, rho*_m eta), exactly, for seeded random rational eta."""
-    point = tuple(Fraction(x) for x in m)
+def pullback_defect(top: SymbolPolynomial, d: DiffOperator, p: FoliationPresentation) -> Polynomial:
+    """The classical symbol of d minus ``top`` pulled back along rho^T, in
+    Q[x, eta]: xi_j = sum_l X_j^l(x) eta_l is substituted into the top
+    symbol, so the difference is 0 exactly when the identity holds at every
+    point and covector."""
+    classical = classical_principal_symbol(d, top.degree).as_combined_polynomial("eta")
+    names = classical.vars
+    pad = (0,) * p.dim
+    mapping = {v: Polynomial.var(v, names) for v in p.vars}
+    eta = [Polynomial.var(f"eta{l+1}", names) for l in range(p.dim)]
+    for j, g in enumerate(p.generators):
+        xi_j = Polynomial.zero(names)
+        for comp, eta_l in zip(g.components, eta):
+            xi_j = xi_j + Polynomial(names, {e + pad: c for e, c in comp.terms.items()}) * eta_l
+        mapping[f"xi{j+1}"] = xi_j
+    return classical - top.as_combined_polynomial().subs(mapping)
+
+
+def pullback_consistency(element: UEAElement, p: FoliationPresentation) -> PullbackReport:
+    """The identity sigma_cl(x, eta) = sigma_top(x, rho(x)^T eta) between the
+    classical symbol of the realization and the top symbol, exactly in
+    Q[x, eta]."""
     k = element.degree
-    d = realize(element, p)
-    classical = classical_principal_symbol(d, k)
     top = symbol_top(element, k, fiber_dim=p.num_generators)
-    anchor_at = p.anchor_at(point)
-    rng = random.Random(seed)
-    failures = []
-    for trial in range(trials):
-        eta = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(p.dim)]
-        pulled = algebra.mat_vec(algebra.transpose(anchor_at), eta)
-        lhs = classical.eval(point, eta)
-        rhs = top.eval(point, pulled)
-        if lhs != rhs:
-            failures.append(f"trial {trial}: eta={eta}: {lhs} != {rhs}")
-    return PullbackReport(point, trials, tuple(failures))
+    return PullbackReport(pullback_defect(top, realize(element, p), p))
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +548,7 @@ def ellipticity_check(
     seed: int = 0,
     direction_count: int | None = None,
     arc_degree: int = 2,
-    curves_by_point: Sequence[Sequence] | None = None,
     convention: str = "positive",
-    force_odd: bool = False,
 ) -> EllipticityReport:
     """Minimize the restricted symbol on the unit sphere of each sampled
     cone fiber space; elliptic at a point iff every minimum exceeds tolerance.
@@ -561,13 +558,10 @@ def ellipticity_check(
     sphere sampling with descent refinement.  ``convention`` is "positive"
     (strict positivity off the zero section) or "nonvanishing" (judge
     |symbol|, so negative-definite symbols also count as elliptic); odd
-    degrees are only meaningful under "nonvanishing" (``force_odd`` is a
-    shorthand for switching to it).
+    degrees are only meaningful under "nonvanishing".
     """
     if convention not in ("positive", "nonvanishing"):
         raise ValueError("convention must be 'positive' or 'nonvanishing'")
-    if force_odd:
-        convention = "nonvanishing"
     nonvanishing = convention == "nonvanishing"
     k = element.degree
     if k % 2 == 1 and not nonvanishing:
@@ -578,12 +572,9 @@ def ellipticity_check(
     sigma = symbol_top(element, k, fiber_dim=p.num_generators)
     tol_exact = Fraction(tolerance).limit_denominator(10**12)
     verdicts = []
-    for idx, m in enumerate(points):
+    for m in points:
         point = tuple(Fraction(x) for x in m)
-        curves = list(curves_by_point[idx]) if curves_by_point is not None else None
-        sample = hn_fiber(
-            p, point, curves, direction_count=direction_count, arc_degree=arc_degree, seed=seed
-        )
+        sample = hn_fiber(p, point, direction_count=direction_count, arc_degree=arc_degree, seed=seed)
         fibers = []
         for space in sample.spaces:
             restricted = symbol_on_fiber(sigma, point, space)

@@ -456,8 +456,9 @@ def structure_case(name):
 def test_structure_functions_match_the_dense_route(name):
     p, bound = structure_case(name)
     expected, expected_bound = oracle_structure(p, bound)
-    assert solve_structure_functions(p, bound) == expected
-    assert (p.structure_bound_used if expected is not None else None) == expected_bound
+    solved = solve_structure_functions(p, bound)
+    assert (solved.functions if solved is not None else None) == expected
+    assert (solved.bound_used if solved is not None else None) == expected_bound
 
 
 class TestSparseSolver:

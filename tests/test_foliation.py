@@ -1,12 +1,18 @@
+import dataclasses
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folcone import algebra
+import folcone
+from folcone import algebra, foliation
 from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
 from folcone.foliation import (
     FoliationPresentation,
@@ -58,9 +64,13 @@ def fresh_so3_augmented():
     so3 = fresh_so3()
     x, y, z = (Polynomial.var(v, XYZ) for v in XYZ)
     extra = x * so3.generators[0] + y * so3.generators[1] + z * so3.generators[2]
-    aug = FoliationPresentation(XYZ, so3.generators + (extra,), name="so3_aug")
-    solve_structure_functions(aug)
-    return aug
+    return FoliationPresentation(XYZ, so3.generators + (extra,), name="so3_aug")
+
+
+def non_involutive():
+    # [d/dx, x d/dy] = d/dy is no combination of the two fields at x = 0,
+    # so no structure functions exist at any bound
+    return FoliationPresentation(XY, (parse_vector_field("d/dx", XY), parse_vector_field("x*d/dy", XY)))
 
 
 class TestAnchor:
@@ -191,8 +201,9 @@ class TestStructureFunctions:
 
     def test_so3_solved_constants(self):
         so3 = fresh_so3()
-        c = solve_structure_functions(so3)
-        assert c is not None and so3.structure_bound_used == 0
+        solved = solve_structure_functions(so3)
+        assert solved is not None and solved.bound_used == 0
+        c = solved.functions
         one = Polynomial.one(XYZ)
         zero = Polynomial.zero(XYZ)
         assert c[0][1] == (zero, zero, one)
@@ -203,13 +214,14 @@ class TestStructureFunctions:
         p = FoliationPresentation(
             XY, (parse_vector_field("d/dx", XY), parse_vector_field("d/dy", XY))
         )
-        c = solve_structure_functions(p)
+        c = solve_structure_functions(p).functions
         assert all(q.is_zero() for row in c for vec in row for q in vec)
 
     def test_gl2_table(self):
         gl2 = fresh_gl2()
-        c = solve_structure_functions(gl2)
-        assert gl2.structure_bound_used == 0
+        solved = solve_structure_functions(gl2)
+        assert solved.bound_used == 0
+        c = solved.functions
 
         def vec(*entries):
             return tuple(Polynomial.const(e, gl2.vars) for e in entries)
@@ -226,9 +238,8 @@ class TestStructureFunctions:
     def test_order2_needs_degree_one(self):
         o2 = fresh_order2()
         assert solve_structure_functions(o2, 0) is None
-        o2 = fresh_order2()
-        c = solve_structure_functions(o2, 2)
-        assert c is not None and o2.structure_bound_used == 1
+        solved = solve_structure_functions(o2, 2)
+        assert solved is not None and solved.bound_used == 1
         assert structure_defect(o2) is None
 
     def test_invalid_structure_rejected(self):
@@ -245,36 +256,68 @@ class TestStructureFunctions:
             FoliationPresentation(XYZ, gens, tuple(tuple(r) for r in bad))
 
 
+    def test_presentation_solves_its_structure_once_and_keeps_it(self, monkeypatch):
+        solves, checks = [], []
+        solve, defect = foliation.solve_structure_functions, foliation.structure_defect
+        monkeypatch.setattr(foliation, "solve_structure_functions", lambda *a: solves.append(a) or solve(*a))
+        monkeypatch.setattr(foliation, "structure_defect", lambda p: checks.append(p) or defect(p))
+        o2 = fresh_order2()
+        assert solve_structure_functions(o2, 0) is None  # a failed solve leaves o2 as it was
+        assert o2.has_structure() and jacobi_flag(o2) is False
+        assert isotropy_algebra(o2, (0, 0)).dim == 6
+        assert o2.structure() == solve(o2) and o2.structure().bound_used == 1
+        assert solves == [(o2,)] and checks == []  # solved once, never re-validated
+
+    def test_given_structure_is_never_solved(self, monkeypatch):
+        monkeypatch.setattr(foliation, "solve_structure_functions", None)
+        so3 = FoliationPresentation(XYZ, fresh_so3().generators, load_preset("so3_r3").presentation.given_structure)
+        assert so3.structure().bound_used is None and jacobi_flag(so3) is True
+
+
+def test_presentation_is_frozen():
+    p = fresh_so3_augmented()
+    p.has_structure()
+    for f in dataclasses.fields(p):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, f.name, getattr(p, f.name))
+
+
+def test_isotropy_needs_no_prior_solve_in_a_fresh_process():
+    code = (
+        "from folcone.foliation import isotropy_algebra\n"
+        "from folcone.presets import load_preset\n"
+        "print(isotropy_algebra(load_preset('vanishing_origin_2').presentation, (0, 0)).dim)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(folcone.__file__).resolve().parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "4\n"
+
+
 class TestJacobiFlag:
     def test_so3_true(self):
         p = load_preset("so3_r3").presentation
         assert jacobi_flag(p) is True
 
     def test_gl2_true(self):
-        gl2 = fresh_gl2()
-        solve_structure_functions(gl2)
-        assert jacobi_flag(gl2) is True
+        assert jacobi_flag(fresh_gl2()) is True
 
     def test_order2_false(self):
         # frozen: the canonical degree-1 structure choice fails Jacobi
-        o2 = fresh_order2()
-        solve_structure_functions(o2)
-        assert jacobi_flag(o2) is False
+        assert jacobi_flag(fresh_order2()) is False
 
     def test_requires_structure(self):
         with pytest.raises(MissingStructureFunctions):
-            jacobi_flag(fresh_so3())
+            jacobi_flag(non_involutive())
 
 
 class TestIsotropy:
     def test_missing_structure_raises(self):
         with pytest.raises(MissingStructureFunctions):
-            isotropy_algebra(fresh_so3(), (0, 0, 0))
+            isotropy_algebra(non_involutive(), (0, 0))
 
     def test_so3_origin_table(self):
-        so3 = fresh_so3()
-        solve_structure_functions(so3)
-        iso = isotropy_algebra(so3, (0, 0, 0))
+        iso = isotropy_algebra(fresh_so3(), (0, 0, 0))
         assert iso.dim == 3 and iso.sker.dim == 0
         eps = {
             (0, 1): (0, 0, 1),
@@ -286,15 +329,11 @@ class TestIsotropy:
             assert iso.bracket_table[b][a] == tuple(-Fraction(x) for x in expected)
 
     def test_so3_regular_point_trivial(self):
-        so3 = fresh_so3()
-        solve_structure_functions(so3)
-        iso = isotropy_algebra(so3, (1, 0, 0))
+        iso = isotropy_algebra(fresh_so3(), (1, 0, 0))
         assert iso.dim == 0 and iso.ambient.dim == 1 and iso.sker.dim == 1
 
     def test_gl2_origin_is_the_matrix_algebra(self):
-        gl2 = fresh_gl2()
-        solve_structure_functions(gl2)
-        iso = isotropy_algebra(gl2, (0, 0))
+        iso = isotropy_algebra(fresh_gl2(), (0, 0))
         assert iso.dim == 4
         # bracket of classes must be the matrix commutator (hand oracle)
         def as_matrix(v):
@@ -339,9 +378,7 @@ class TestIsotropy:
                 assert iso.sker.contains_vector(delta)
 
     def test_class_coordinates_reject_outside_kernel(self):
-        so3 = fresh_so3()
-        solve_structure_functions(so3)
-        iso = isotropy_algebra(so3, (1, 0, 0))
+        iso = isotropy_algebra(fresh_so3(), (1, 0, 0))
         with pytest.raises(ValueError):
             iso.class_coordinates((0, 1, 0))
 
@@ -354,7 +391,7 @@ def test_monomials_up_to_counts():
 
 def test_membership_identity_for_stored_structure():
     p = load_preset("so3_r3").presentation
-    c = p.structure_functions
+    c = p.structure().functions
     for i in range(3):
         for j in range(3):
             combo_components = []
@@ -383,8 +420,6 @@ ISOTROPY_CASES = (
 def isotropy_case(index):
     name, m = ISOTROPY_CASES[index]
     p = fresh_so3_augmented() if name is None else load_preset(name).presentation
-    if not p.has_structure():
-        solve_structure_functions(p)
     return isotropy_algebra(p, m)
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from folcone.expr import Polynomial
-from folcone.foliation import FoliationPresentation, isotropy_algebra, solve_structure_functions, strong_kernel_at
+from folcone.expr import Polynomial, parse_vector_field
+from folcone.foliation import FoliationPresentation, isotropy_algebra, strong_kernel_at
 from folcone.grassmann import Curve, annihilator, make_subspace
 from folcone.hncone import (
     NashFiberSample,
+    cone_checks,
     curve_family,
     hn_fiber,
     hn_membership_distance,
@@ -166,6 +167,13 @@ class TestChecks:
         report = sandwich_check(p, sample, strong_kernel_at(p, (1, 0, 0)))
         assert report.ok and report.sker_dim == report.ker_dim == 1
 
+    def test_cone_checks_without_structure_functions(self):
+        # [d/dx, x d/dy] = d/dy is no combination of the fields at x = 0
+        xy = ("x", "y")
+        p = FoliationPresentation(xy, (parse_vector_field("d/dx", xy), parse_vector_field("x*d/dy", xy)))
+        checks = cone_checks(p, nash_fiber(p, (0, 0)))
+        assert checks.sandwich.ok and checks.subalgebra is None
+
     def test_subalgebra_so3_origin(self):
         p = so3()
         sample = nash_fiber(p, (0, 0, 0))
@@ -176,8 +184,6 @@ class TestChecks:
 
     def test_subalgebra_gl2_origin(self):
         p = load_preset("vanishing_origin_2").presentation
-        if not p.has_structure():
-            solve_structure_functions(p)
         sample = nash_fiber(p, (0, 0))
         iso = isotropy_algebra(p, (0, 0))
         report = limit_subalgebra_check(p, sample, iso)

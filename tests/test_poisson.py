@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from folcone.expr import Polynomial, parse_vector_field
-from folcone.foliation import FoliationPresentation, jacobi_flag, solve_structure_functions
+from folcone.foliation import FoliationPresentation, jacobi_flag
 from folcone.poisson import (
     DualPoint,
     NonFiniteState,
@@ -28,11 +28,9 @@ XY = ("x", "y")
 
 
 def abelian():
-    p = FoliationPresentation(
+    return FoliationPresentation(
         XY, (parse_vector_field("d/dx", XY), parse_vector_field("d/dy", XY)), name="abelian"
     )
-    solve_structure_functions(p)
-    return p
 
 
 def so3():
@@ -40,10 +38,7 @@ def so3():
 
 
 def gl2():
-    p = load_preset("vanishing_origin_2").presentation
-    if not p.has_structure():
-        solve_structure_functions(p)
-    return p
+    return load_preset("vanishing_origin_2").presentation
 
 
 class TestHamiltonianField:
@@ -119,8 +114,6 @@ class TestPoissonJacobi:
 
     def test_order2_defect_recorded(self):
         p = load_preset("order2_r2").presentation
-        if not p.has_structure():
-            solve_structure_functions(p)
         assert jacobi_flag(p) is False
         gens = [[Fraction(int(k == i)) for k in range(6)] for i in range(6)]
         total = Polynomial.zero(dual_vars(p))
@@ -173,8 +166,6 @@ class TestInvariance:
 
     def test_debord_full_dual_zero_drift(self):
         deb = load_preset("debord_line").presentation
-        if not deb.has_structure():
-            solve_structure_functions(deb)
         res = hn_invariance_test(deb, covector_flow(deb, (0,), (1,), 0, 1.0, 100))
         assert res.max_drift == 0.0
 

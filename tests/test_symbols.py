@@ -13,10 +13,12 @@ from folcone.presets import load_preset
 from folcone.symbols import (
     DiffOperator,
     OddDegreeWarning,
+    PullbackReport,
     UEAElement,
     classical_principal_symbol,
     ellipticity_check,
     pullback_consistency,
+    pullback_defect,
     realize,
     symbol_on_fiber,
     symbol_top,
@@ -254,15 +256,23 @@ class TestClassicalSymbol:
 class TestPullback:
     def test_single_generator(self):
         pre = so3_preset()
-        report = pullback_consistency(element_from("g1", pre), pre.presentation, (1, 0, 0))
+        report = pullback_consistency(element_from("g1", pre), pre.presentation)
         assert report.ok
 
-    def test_sum_of_squares_twenty_trials(self):
+    def test_sum_of_squares(self):
         pre = so3_preset()
-        report = pullback_consistency(
-            element_from("sos", pre), pre.presentation, (1, 0, 0), trials=20, seed=1
-        )
-        assert report.ok and report.trials == 20
+        report = pullback_consistency(element_from("sos", pre), pre.presentation)
+        assert report.ok and report.defect.is_zero()
+
+    def test_top_symbol_of_another_element_fails(self):
+        pre = so3_preset()
+        p = pre.presentation
+        top = symbol_top(element_from("g1", pre), 1, fiber_dim=3)
+        report = PullbackReport(pullback_defect(top, realize(element_from("g2", pre), p), p))
+        assert not report.ok
+        # X_2 . eta - X_1 . eta with X_1 = z d/dy - y d/dz and X_2 = x d/dz - z d/dx
+        names = XYZ + ("eta1", "eta2", "eta3")
+        assert report.defect == parse_polynomial("-z*eta1 - z*eta2 + x*eta3 + y*eta3", names)
 
     def test_counterexample_both_sides_zero(self):
         pre = load_preset("r4_counterexample")
@@ -356,7 +366,7 @@ class TestEllipticity:
         with pytest.raises(OddDegreeWarning):
             ellipticity_check(element_from("g1", pre), pre.presentation, [(1, 0, 0)])
         rep = ellipticity_check(
-            element_from("g1", pre), pre.presentation, [(1, 0, 0)], force_odd=True
+            element_from("g1", pre), pre.presentation, [(1, 0, 0)], convention="nonvanishing"
         )
         assert not rep.elliptic  # |xi_1| vanishes somewhere on the fiber sphere
 

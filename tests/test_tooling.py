@@ -21,3 +21,28 @@ def test_every_traced_name_resolves():
             if not callable(obj):
                 missing.append(f"folcone.{mod_name}.{name}")
     assert missing == []
+
+
+WORKER = TRACER.parent / "worker.py"
+
+
+def test_worker_set_up_pays_for_every_structure_solve(monkeypatch):
+    from folcone import cli, foliation, presets
+
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    solve = foliation.solve_structure_functions
+    calls = []
+    monkeypatch.setattr(foliation, "solve_structure_functions", lambda *a: calls.append(a[0].name) or solve(*a))
+    for workload in sorted(worker.workloads.WORKLOADS):
+        monkeypatch.setattr(presets, "_CACHE", {})  # a fresh worker process starts with no preset
+        worker.set_up(workload)
+        assert calls, workload
+        calls.clear()
+        # the first op on each preset: the op that would solve if set-up had not
+        first_ops = {argv[1]: argv for argv in reversed(worker.workloads.cycle(workload, 0))}
+        for argv in first_ops.values():
+            record = worker.run_op(cli, argv)
+            assert record["rc"] == 0, record["stderr"]
+        assert calls == [], workload
