@@ -1,5 +1,15 @@
 """Command-line interface: preset analysis, fiber sampling, symbols, checks.
 
+Every subcommand runs through one pipeline in ``main``.  The parser, built
+once per process, reads the command line; each subcommand takes only the
+flags its command reads.  The command's ``cmd_*`` function returns the report
+fields it owns (``parameters`` and ``results``, plus ``bounds`` for
+``analyze``) with an exit code.  ``main`` adds ``schema``, ``version``,
+``command``, ``seed`` and ``timing_seconds`` and writes the JSON to stdout or
+to ``--out``.  Every refused input, whether argparse rejects it or a command
+raises, ends as one ``error:`` line on stderr and exit 2, with nothing on
+stdout.
+
 All randomness is seeded (``--seed``, default 0) and reports are emitted as
 deterministic JSON (sorted keys, no timing unless ``--timing`` is passed), so
 identical invocations produce byte-identical output.  Exit codes: 0 all checks
@@ -10,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
@@ -17,7 +28,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import __version__
 from .expr import ParseError, parse_operator, poly_to_string
@@ -108,52 +119,13 @@ def _check_points(preset: Preset, points: Sequence[Sequence[Fraction]], what: st
             )
 
 
-def _emit(report: dict[str, Any], args) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
-        Path(args.out).write_text(payload)
-    else:
-        sys.stdout.write(payload)
-
-
-def _csv_fibers(directory: str, stem: str, spaces: Sequence[Subspace]) -> None:
+def _write_csv(directory: str, stem: str, header: list[str], rows: Iterable[list]) -> None:
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     with open(path / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["space_index", "vector_index", "components..."])
-        for i, s in enumerate(spaces):
-            for j, row in enumerate(s.basis):
-                writer.writerow([i, j] + [float(x) for x in row])
-
-
-def _csv_trajectory(directory: str, stem: str, presentation, traj) -> None:
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / f"{stem}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t"]
-            + [f"x_{v}" for v in presentation.vars]
-            + [f"xi_{k+1}" for k in range(presentation.num_generators)]
-        )
-        for t, state in zip(traj.times, traj.states):
-            writer.writerow([t] + list(state))
-
-
-def _report_shell(args, command: str, params: dict[str, Any]) -> dict[str, Any]:
-    report = {
-        "schema": SCHEMA_VERSION,
-        "version": __version__,
-        "command": command,
-        "parameters": params,
-        "seed": getattr(args, "seed", 0),
-    }
-    return report
-
-
-def _load(args) -> Preset:
-    return load_preset(args.preset)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _resolve_operator(preset: Preset, text: str) -> UEAElement:
@@ -180,12 +152,14 @@ def _structure_bound(p: FoliationPresentation) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (report fields it owns, exit code)
 # ---------------------------------------------------------------------------
 
+Fields = dict[str, Any]
 
-def cmd_analyze(args) -> int:
-    preset = _load(args)
+
+def cmd_analyze(args) -> tuple[Fields, int]:
+    preset = load_preset(args.preset)
     p = preset.presentation
     r = p.generic_rank()
     bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
@@ -219,16 +193,11 @@ def cmd_analyze(args) -> int:
         else:
             entry["strong_kernel"] = _subspace(strong_kernel_at(p, m, bound))
         results["points"].append(entry)
-    report = _report_shell(
-        args,
-        "analyze",
-        {"preset": args.preset, "points": [_vec(m) for m in points], "degree_bound": bound},
-    )
-    report["bounds"] = {"strong_kernel": bound, "structure": structure_bound}
-    report["results"] = results
-    _finish_timing(report, args)
-    _emit(report, args)
-    return 0
+    return {
+        "parameters": {"preset": args.preset, "points": [_vec(m) for m in points], "degree_bound": bound},
+        "bounds": {"strong_kernel": bound, "structure": structure_bound},
+        "results": results,
+    }, 0
 
 
 def _default_points(n: int) -> list[tuple[Fraction, ...]]:
@@ -241,12 +210,15 @@ def _default_points(n: int) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
-    preset = _load(args)
+def cmd_fiber(args) -> tuple[Fields, int]:
+    """``nash-fiber``: the limit subspaces at a point; ``hn-fiber`` adds their
+    annihilators, the cone fiber, with the sandwich and subalgebra checks."""
+    preset = load_preset(args.preset)
     p = preset.presentation
     m = args.point
     _check_points(preset, [m])
     curves = curve_family(m, args.curves, args.arc_degree, args.seed)
+    dual = args.command == "hn-fiber"
     if dual:
         fiber = hn_fiber(p, m, curves)
         sample = fiber.nash
@@ -295,58 +267,30 @@ def _fiber_common(args, dual: bool) -> tuple[dict[str, Any], int]:
             results["subalgebra"] = {"ok": None, "note": "structure functions unavailable"}
         results["structure_bound_used"] = _structure_bound(p)
     if args.csv:
-        _csv_fibers(args.csv, f"{'hn' if dual else 'nash'}_fiber", spaces)
-    return results, exit_code
+        _write_csv(
+            args.csv,
+            args.command.replace("-", "_"),
+            ["space_index", "vector_index", "components..."],
+            ([i, j] + [float(x) for x in row] for i, s in enumerate(spaces) for j, row in enumerate(s.basis)),
+        )
+    parameters = {
+        "preset": args.preset,
+        "point": results["point"],
+        "curves": _curve_description(args),
+        "degree_bound": args.degree_bound if dual else None,
+    }
+    return {"parameters": parameters, "results": results}, exit_code
 
 
-def cmd_nash_fiber(args) -> int:
-    results, code = _fiber_common(args, dual=False)
-    report = _report_shell(
-        args,
-        "nash-fiber",
-        {
-            "preset": args.preset,
-            "point": results["point"],
-            "curves": _curve_description(args),
-            "degree_bound": args.degree_bound,
-        },
-    )
-    report["results"] = results
-    _finish_timing(report, args)
-    _emit(report, args)
-    return code
-
-
-def cmd_hn_fiber(args) -> int:
-    results, code = _fiber_common(args, dual=True)
-    report = _report_shell(
-        args,
-        "hn-fiber",
-        {
-            "preset": args.preset,
-            "point": results["point"],
-            "curves": _curve_description(args),
-            "degree_bound": args.degree_bound,
-        },
-    )
-    report["results"] = results
-    _finish_timing(report, args)
-    _emit(report, args)
-    return code
-
-
-def cmd_symbol(args) -> int:
-    preset = _load(args)
+def cmd_symbol(args) -> tuple[Fields, int]:
+    preset = load_preset(args.preset)
     p = preset.presentation
     element = _resolve_operator(preset, args.op)
     k = args.degree if args.degree is not None else element.degree
     sigma = symbol_top(element, k, fiber_dim=p.num_generators)
     d = realize(element, p)
     classical = classical_principal_symbol(d, k)
-    report = _report_shell(
-        args, "symbol", {"preset": args.preset, "op": args.op, "degree": k}
-    )
-    report["results"] = {
+    results = {
         "degree": k,
         "top_symbol": sigma.as_string(),
         "top_symbol_zero": sigma.is_zero(),
@@ -357,46 +301,36 @@ def cmd_symbol(args) -> int:
         },
         "classical_principal_symbol": classical.as_string(fiber_prefix="eta"),
     }
-    _finish_timing(report, args)
-    _emit(report, args)
-    return 0
+    return {"parameters": {"preset": args.preset, "op": args.op, "degree": k}, "results": results}, 0
 
 
-def cmd_elliptic(args) -> int:
-    preset = _load(args)
+def cmd_elliptic(args) -> tuple[Fields, int]:
+    preset = load_preset(args.preset)
     p = preset.presentation
     element = _resolve_operator(preset, args.op)
     if not args.points:
         raise argparse.ArgumentTypeError("--points must name at least one point")
     _check_points(preset, args.points)
-    try:
-        rep = ellipticity_check(
-            element,
-            p,
-            args.points,
-            tolerance=args.tol,
-            sphere_samples=args.sphere_samples,
-            seed=args.seed,
-            direction_count=args.curves,
-            arc_degree=args.arc_degree,
-            convention="nonvanishing" if args.force_odd else args.convention,
-        )
-    except OddDegreeWarning as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = _report_shell(
-        args,
-        "elliptic",
-        {
-            "preset": args.preset,
-            "op": args.op,
-            "points": [_vec(m) for m in args.points],
-            "tolerance": args.tol,
-            "convention": args.convention,
-            "curves": _curve_description(args),
-        },
+    rep = ellipticity_check(
+        element,
+        p,
+        args.points,
+        tolerance=args.tol,
+        sphere_samples=args.sphere_samples,
+        seed=args.seed,
+        direction_count=args.curves,
+        arc_degree=args.arc_degree,
+        convention=args.convention,
     )
-    report["results"] = {
+    parameters = {
+        "preset": args.preset,
+        "op": args.op,
+        "points": [_vec(m) for m in args.points],
+        "tolerance": args.tol,
+        "convention": args.convention,
+        "curves": _curve_description(args),
+    }
+    results = {
         "degree": rep.degree,
         "elliptic": rep.elliptic,
         "points": [
@@ -418,9 +352,7 @@ def cmd_elliptic(args) -> int:
             for pv in rep.points
         ],
     }
-    _finish_timing(report, args)
-    _emit(report, args)
-    return 0 if rep.elliptic else 1
+    return {"parameters": parameters, "results": results}, 0 if rep.elliptic else 1
 
 
 def _parse_scenario(text: str, preset: Preset) -> dict[str, Any]:
@@ -485,12 +417,11 @@ def _auto_scenarios(preset: Preset, seed: int) -> list[dict[str, Any]]:
     return out
 
 
-def cmd_poisson_check(args) -> int:
-    preset = _load(args)
+def cmd_poisson_check(args) -> tuple[Fields, int]:
+    preset = load_preset(args.preset)
     p = preset.presentation
     if not p.has_structure():
-        print("error: no structure functions available for this preset", file=sys.stderr)
-        return 2
+        raise MissingStructureFunctions("no structure functions available for this preset")
     scenarios = (
         [_parse_scenario(s, preset) for s in args.scenario]
         if args.scenario
@@ -505,14 +436,15 @@ def cmd_poisson_check(args) -> int:
             raise argparse.ArgumentTypeError(
                 f"flow start ({','.join(_vec(sc['point']))}) is a singular point; pick a regular one"
             )
-    results = []
+    csv_header = ["t"] + [f"x_{v}" for v in p.vars] + [f"xi_{k+1}" for k in range(p.num_generators)]
+    scenario_results = []
     ok = True
     for idx, sc in enumerate(scenarios):
         gen = sc.get("gen", 0)
         eta = sc.get("eta", tuple(Fraction(1) for _ in range(p.dim)))
         res = check_scenario(p, sc["point"], eta, gen, sc.get("T", 1.0), sc.get("steps", 1000), tol=args.tol)
         ok = ok and res.passed
-        results.append(
+        scenario_results.append(
             {
                 "scenario": idx,
                 "point": _vec(sc["point"]),
@@ -525,63 +457,52 @@ def cmd_poisson_check(args) -> int:
             }
         )
         if args.csv:
-            _csv_trajectory(args.csv, f"trajectory_{idx}", p, res.flow.trajectory)
-    report = _report_shell(
-        args,
-        "poisson-check",
-        {"preset": args.preset, "scenarios": args.scenario or "auto", "tolerance": args.tol},
-    )
-    report["results"] = {
-        "jacobi_flag": jacobi_flag(p),
-        "scenarios": results,
-        "ok": ok,
-    }
-    _finish_timing(report, args)
-    _emit(report, args)
-    return 0 if ok else 1
+            traj = res.flow.trajectory
+            _write_csv(
+                args.csv, f"trajectory_{idx}", csv_header, ([t] + list(s) for t, s in zip(traj.times, traj.states))
+            )
+    parameters = {"preset": args.preset, "scenarios": args.scenario or "auto", "tolerance": args.tol}
+    results = {"jacobi_flag": jacobi_flag(p), "scenarios": scenario_results, "ok": ok}
+    return {"parameters": parameters, "results": results}, 0 if ok else 1
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args) -> tuple[Fields, int]:
     from . import acceptance
 
     outcomes = acceptance.run_all(verbose=True)
-    report = _report_shell(args, "selftest", {})
-    report["results"] = [
+    results = [
         {"criterion": o.criterion, "title": o.title, "passed": o.passed, "detail": o.detail}
         for o in outcomes
     ]
-    _finish_timing(report, args)
-    _emit(report, args)
-    return 0 if all(o.passed for o in outcomes) else 1
-
-
-def _finish_timing(report: dict[str, Any], args) -> None:
-    if getattr(args, "timing", False):
-        report["timing_seconds"] = time.time() - getattr(args, "_start", time.time())
-    else:
-        report["timing_seconds"] = None
+    return {"parameters": {}, "results": results}, 0 if all(o.passed for o in outcomes) else 1
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Argument parsing and the report pipeline
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, with_curves: bool = True) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="seed for all sampled randomness")
-    sp.add_argument("--out", help="write the JSON report to this file instead of stdout")
-    sp.add_argument("--csv", help="directory for CSV emission of fibers/trajectories")
-    sp.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
-    sp.add_argument("--degree-bound", dest="degree_bound", type=_int_at_least(0), default=None,
-                    help="strong-kernel syzygy degree bound (default: max generator degree + dim)")
-    if with_curves:
-        sp.add_argument("--curves", type=int, default=None,
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process on first use.  Each flag group
+    is a parent parser, attached only to the subcommands that read it."""
+    preset = argparse.ArgumentParser(add_help=False)
+    preset.add_argument("preset", help=f"builtin name ({', '.join(BUILTIN_NAMES)}) or a preset file path")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--seed", type=_int_at_least(0), default=0, help="seed for all sampled randomness")
+    report.add_argument("--out", help="write the JSON report to this file instead of stdout")
+    report.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--degree-bound", dest="degree_bound", type=_int_at_least(0), default=None,
+                       help="strong-kernel syzygy degree bound (default: max generator degree + dim)")
+    csv_dir = argparse.ArgumentParser(add_help=False)
+    csv_dir.add_argument("--csv", help="directory for CSV emission of fibers/trajectories")
+    curves = argparse.ArgumentParser(add_help=False)
+    curves.add_argument("--curves", type=int, default=None,
                         help="number of ray directions (default: 3n deterministic directions)")
-        sp.add_argument("--arc-degree", dest="arc_degree", type=_int_at_least(1), default=2,
+    curves.add_argument("--arc-degree", dest="arc_degree", type=_int_at_least(1), default=2,
                         help="maximum arc degree in the curve family")
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="folcone",
         description="Exact invariants of polynomial singular foliations.",
@@ -589,81 +510,81 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"folcone {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("analyze", help="ranks, regularity, strong kernels, isotropy at points")
-    sp.add_argument("preset", help=f"builtin name ({', '.join(BUILTIN_NAMES)}) or a preset file path")
+    sp = sub.add_parser("analyze", parents=[preset, report, bound],
+                        help="ranks, regularity, strong kernels, isotropy at points")
     sp.add_argument("--points", type=_points_arg, default=None,
                     help="semicolon-separated points, e.g. '0,0,0;1,0,0'")
-    _add_common(sp, with_curves=False)
     sp.set_defaults(fn=cmd_analyze)
 
-    sp = sub.add_parser("nash-fiber", help="limit subspaces of the kernel family at a point")
-    sp.add_argument("preset")
-    sp.add_argument("--point", type=_point_arg, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_nash_fiber)
+    for name, parents, help_text in (
+        ("nash-fiber", [], "limit subspaces of the kernel family at a point"),
+        ("hn-fiber", [bound], "cone fiber (annihilators) plus sandwich/subalgebra checks"),
+    ):
+        sp = sub.add_parser(name, parents=[preset, report, csv_dir, curves, *parents], help=help_text)
+        sp.add_argument("--point", type=_point_arg, required=True)
+        sp.set_defaults(fn=cmd_fiber)
 
-    sp = sub.add_parser("hn-fiber", help="cone fiber (annihilators) plus sandwich/subalgebra checks")
-    sp.add_argument("preset")
-    sp.add_argument("--point", type=_point_arg, required=True)
-    _add_common(sp)
-    sp.set_defaults(fn=cmd_hn_fiber)
-
-    sp = sub.add_parser("symbol", help="top symbol and realized normal form of an operator")
-    sp.add_argument("preset")
+    sp = sub.add_parser("symbol", parents=[preset, report],
+                        help="top symbol and realized normal form of an operator")
     sp.add_argument("--op", required=True, help="operator expression or a preset operator name")
-    sp.add_argument("--degree", type=int, default=None)
-    _add_common(sp, with_curves=False)
+    sp.add_argument("--degree", type=_int_at_least(0), default=None)
     sp.set_defaults(fn=cmd_symbol)
 
-    sp = sub.add_parser("elliptic", help="longitudinal ellipticity verdict over sampled points")
-    sp.add_argument("preset")
+    sp = sub.add_parser("elliptic", parents=[preset, report, curves],
+                        help="longitudinal ellipticity verdict over sampled points")
     sp.add_argument("--op", required=True)
     sp.add_argument("--points", type=_points_arg, required=True)
     sp.add_argument("--tol", type=_finite_float, default=1e-9)
-    sp.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=8)
+    sp.add_argument("--sphere-samples", dest="sphere_samples", type=_int_at_least(1), default=8)
     sp.add_argument("--convention", choices=("positive", "nonvanishing"), default="positive",
                     help="strict positivity (default) or nonvanishing |symbol|")
-    sp.add_argument("--force-odd", dest="force_odd", action="store_true",
-                    help="shorthand for --convention nonvanishing on odd degrees")
-    _add_common(sp)
+    sp.add_argument("--force-odd", dest="convention", action="store_const", const="nonvanishing",
+                    help="same as --convention nonvanishing")
     sp.set_defaults(fn=cmd_elliptic)
 
-    sp = sub.add_parser("poisson-check", help="Hamiltonian identities, cone invariance, lift check")
-    sp.add_argument("preset")
+    sp = sub.add_parser("poisson-check", parents=[preset, report, csv_dir],
+                        help="Hamiltonian identities, cone invariance, lift check")
     sp.add_argument("--scenario", action="append", default=None,
                     help="'point=1,0,0;gen=g3;eta=0,1,0;T=1;steps=1000' (repeatable)")
     sp.add_argument("--tol", type=_finite_float, default=1e-6)
-    _add_common(sp, with_curves=False)
     sp.set_defaults(fn=cmd_poisson_check)
 
-    sp = sub.add_parser("selftest", help="run the acceptance suite")
-    _add_common(sp, with_curves=False)
+    sp = sub.add_parser("selftest", parents=[report], help="run the acceptance suite")
     sp.set_defaults(fn=cmd_selftest)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args._start = time.time()
+    start = time.time()
     try:
-        return args.fn(args)
-    except (ParseError, PresetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MissingStructureFunctions as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except argparse.ArgumentTypeError as exc:
+        fields, code = args.fn(args)
+    except (
+        ParseError, PresetError, MissingStructureFunctions, OddDegreeWarning, argparse.ArgumentTypeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonFiniteState as exc:
         print(f"error: the flow left the finite range ({exc}); try a shorter T or more steps", file=sys.stderr)
         return 2
+    report = {
+        "schema": SCHEMA_VERSION,
+        "version": __version__,
+        "command": args.command,
+        "seed": args.seed,
+        "timing_seconds": time.time() - start if args.timing else None,
+        **fields,
+    }
+    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        Path(args.out).write_text(payload)
+    else:
+        sys.stdout.write(payload)
+    return code
 
 
 if __name__ == "__main__":

@@ -502,10 +502,12 @@ def _pencil_minimum(
     """(float min, exact min or None, verdict min > tol).
 
     Minimizes u^T G u over the ellipsoid u^T M u = 1 (M = Gram of the basis),
-    i.e. the smallest generalized eigenvalue of (G, M).  The float
-    eigenvalues are snapped to exact roots of det(G - lam M)
-    (``_rational_roots``); when that fails the verdict comes from Sylvester's
-    criterion on G - tol M instead, and the exact min is None.
+    i.e. the smallest generalized eigenvalue of (G, M).  The verdict is
+    Sylvester's criterion on G - tol M: with M positive definite, the
+    smallest eigenvalue exceeds tol exactly when G - tol M is positive
+    definite.  The float eigenvalues are snapped to exact roots of
+    det(G - lam M) (``_rational_roots``) only to report the minimum; when
+    that fails the exact min is None.
     """
     r = len(g)
     lam_vars = ("lam",)
@@ -528,14 +530,9 @@ def _pencil_minimum(
     roots = _rational_roots(coeffs, eigenvalues.tolist())
     exact_min = min(roots) if roots else None
     if exact_min is not None:
-        positive = exact_min > tol
         float_min = float(exact_min)
-    else:
-        shifted = [
-            [g[i][j] - tol * gram[i][j] for j in range(r)] for i in range(r)
-        ]
-        positive = _sylvester_positive_definite(shifted)
-    return float_min, exact_min, positive
+    shifted = [[g[i][j] - tol * gram[i][j] for j in range(r)] for i in range(r)]
+    return float_min, exact_min, _sylvester_positive_definite(shifted)
 
 
 def ellipticity_check(

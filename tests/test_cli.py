@@ -10,6 +10,9 @@ from folcone.cli import MAX_FLOW_STEPS, _parse_scenario, main
 from folcone.presets import BUILTIN_NAMES, PresetError, load_preset, parse_preset_text
 
 
+REPORT_KEYS = {"schema", "version", "command", "parameters", "seed", "results", "timing_seconds"}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -189,6 +192,14 @@ class TestCommands:
         assert code == 0
         assert json.loads(out)["results"]["elliptic"] is True
 
+    def test_force_odd_reports_the_convention_it_judges_by(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "elliptic", "so3_r3", "--op", "0 - g1.g1 - g2.g2 - g3.g3", "--points", "1,0,0", "--force-odd"
+        )
+        report = json.loads(out)
+        assert code == 0 and report["results"]["elliptic"] is True
+        assert report["parameters"]["convention"] == "nonvanishing"
+
     def test_elliptic_large_coefficient_exact(self, capsys):
         # a ten-digit coefficient: the exact minima come from snapped eigenvalues, not a divisor search
         code, out, _ = run_cli(
@@ -226,6 +237,18 @@ class TestCommands:
             ("poisson-check", "so3_r3", "--scenario", "point=1e400,0,0;gen=g3"),
             ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;steps=100001"),
             ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;steps=100000000"),
+            ("symbol", "so3_r3", "--op", "g1.g1", "--degree", "-1"),
+            ("elliptic", "so3_r3", "--op", "g1.g1+g2.g2", "--points", "1,0,0", "--sphere-samples", "0"),
+            # each subcommand refuses the flags it does not read
+            ("symbol", "so3_r3", "--op", "g1.g1", "--degree-bound", "2"),
+            ("analyze", "so3_r3", "--csv", "fibers"),
+            ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--degree-bound", "1"),
+            ("poisson-check", "so3_r3", "--degree-bound", "2"),
+            ("nash-fiber", "so3_r3", "--point", "0,0,0", "--degree-bound", "2"),
+            # numpy's sampler refuses a negative seed, so every command does
+            ("elliptic", "so3_r3", "--op", "g1.g1.g1.g1+g2.g2.g2.g2+g3.g3.g3.g3", "--points", "0,0,0;1,0,0",
+             "--seed=-1"),
+            ("analyze", "so3_r3", "--seed", "-1"),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, argv):
@@ -272,10 +295,42 @@ class TestCommands:
         assert code == 0 and report["results"]["sandwich"]["ok"]
         assert len(calls) == 1
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        run_cli(capsys, "symbol", "debord_line", "--op", "g1.g1")
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        code, _, _ = run_cli(capsys, "symbol", "debord_line", "--op", "g1.g1")
+        assert code == 0 and built == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "debord_line"),
+            ("nash-fiber", "debord_line", "--point", "0"),
+            ("hn-fiber", "debord_line", "--point", "0"),
+            ("symbol", "debord_line", "--op", "g1.g1"),
+            ("elliptic", "debord_line", "--op", "g1.g1", "--points", "0"),
+            ("poisson-check", "debord_line", "--scenario", "point=1;steps=10"),
+        ],
+    )
+    def test_report_keys(self, capsys, argv):
+        # main adds the shared keys; each command owns parameters and results
+        code, out, _ = run_cli(capsys, *argv)
+        report = json.loads(out)
+        assert code == 0 and report["command"] == argv[0]
+        assert set(report) == REPORT_KEYS | ({"bounds"} if argv[0] == "analyze" else set())
+
     def test_selftest(self, capsys):
         code, out, err = run_cli(capsys, "selftest")
         assert code == 0
         report = json.loads(out)
+        assert set(report) == REPORT_KEYS
         assert len(report["results"]) == 11
         assert all(entry["passed"] for entry in report["results"])
         assert err.count("PASS") == 11

@@ -24,7 +24,7 @@ from folcone.symbols import (
     symbol_top,
     uea_product,
 )
-from folcone.symbols import _rational_roots
+from folcone.symbols import _pencil_minimum, _rational_roots
 
 XYZ = ("x", "y", "z")
 
@@ -400,6 +400,19 @@ class TestEllipticity:
     def test_rational_roots_none_when_irrational(self):
         # x^2 - 2: no snap of +-1.41421356... is an exact root
         assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)], [-(2**0.5), 2**0.5]) is None
+
+    def test_pencil_minimum_verdict(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        eye = [[one, Fraction(0)], [Fraction(0), one]]
+        # roots (3 +- sqrt 5)/2: no exact minimum, the verdict still exact
+        g = [[one, one], [one, Fraction(2)]]
+        fmin, emin, pos = _pencil_minimum(g, eye, Fraction(0))
+        assert abs(fmin - (3 - 5**0.5) / 2) < 1e-12 and emin is None and pos is True
+        assert _pencil_minimum(g, eye, half) == (fmin, None, False)
+        # rational roots 1 and 3: the minimum must exceed tol strictly
+        g = [[one, Fraction(0)], [Fraction(0), Fraction(3)]]
+        assert _pencil_minimum(g, eye, one) == (1.0, 1, False)
+        assert _pencil_minimum(g, eye, half) == (1.0, 1, True)
 
     def test_quartic_sphere_sampling(self):
         pre = so3_preset()
