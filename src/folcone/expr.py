@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Mapping, Sequence
 
 
@@ -228,9 +229,11 @@ class Polynomial:
         return Polynomial(self.vars, terms)
 
     def eval(self, point: Sequence) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        if len(vals) != len(self.vars):
+        if len(point) != len(self.vars):
             raise ValueError("point dimension mismatch")
+        if len(self.terms) <= 1 and not any(map(any, self.terms)):
+            return self.constant_term()
+        vals = [Fraction(v) for v in point]
         total = Fraction(0)
         for exp, c in self.terms.items():
             term = c
@@ -289,12 +292,30 @@ class Polynomial:
         return out
 
     def shift(self, point: Sequence) -> "Polynomial":
-        """Recentre at ``point``: returns q with q(y) = self(y + point)."""
-        mapping = {
-            v: Polynomial.var(v, self.vars) + Polynomial.const(point[i], self.vars)
-            for i, v in enumerate(self.vars)
-        }
-        return self.subs(mapping)
+        """Recentre at ``point``: returns q with q(y) = self(y + point).
+
+        Each monomial expands binomially, prod_i sum_k C(e_i, k) a_i^(e_i-k) y_i^k,
+        straight into the coefficient map; at the origin q is ``self``.
+        """
+        if len(point) != len(self.vars):
+            raise ValueError("point dimension mismatch")
+        a = [Fraction(v) for v in point]
+        if not any(a):
+            return self
+        terms: dict[Exponent, Fraction] = {}
+        for exp, c in self.terms.items():
+            partial: list[tuple[Exponent, Fraction]] = [((), c)]
+            for ai, e in zip(a, exp):
+                if e == 0 or ai == 0:
+                    partial = [(mono + (e,), coeff) for mono, coeff in partial]
+                    continue
+                factor = [(k, comb(e, k) * ai ** (e - k)) for k in range(e + 1)]
+                partial = [(mono + (k,), coeff * f) for mono, coeff in partial for k, f in factor]
+            for mono, coeff in partial:
+                terms[mono] = terms.get(mono, 0) + coeff
+        out = Polynomial.__new__(Polynomial)
+        out.vars, out.terms, out._hash = self.vars, {e: c for e, c in terms.items() if c}, None
+        return out
 
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact polynomial division; raises ValueError when not divisible.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from . import algebra
 from .algebra import Matrix, PolyMatrix, Vec
@@ -344,29 +344,54 @@ def jacobi_flag(p: FoliationPresentation) -> bool:
     The cyclic sum of [[e_i,e_j],e_k]-expansions through c and anchor
     derivatives must vanish identically; almost-Lie structures may fail this.
     The Jacobiator is alternating (given antisymmetric c), so distinct
-    index triples suffice.
+    index triples suffice.  The sums run on coefficient maps (``terms``),
+    and X_c[c_ab^m] is left out where c_ab^m is constant.
     """
     c = p.require_structure("the Jacobi flag")
     n = p.num_generators
-    zero = Polynomial.zero(p.vars)
+    constant = (0,) * p.dim
     nonzero = [
-        [[(l, c[a][b][l]) for l in range(n) if not c[a][b][l].is_zero()] for b in range(n)]
+        [[(l, c[a][b][l].terms) for l in range(n) if c[a][b][l].terms] for b in range(n)]
         for a in range(n)
     ]
+    varying = [
+        [[(l, t) for l, t in row if len(t) > 1 or constant not in t] for row in rows] for rows in nonzero
+    ]
+    fields = [[comp.terms for comp in g.components] for g in p.generators]
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                acc = [zero] * n
+                acc: list[dict] = [{} for _ in range(n)]
                 for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
                     # [[e_a,e_b],e_c] = sum_l c_ab^l [e_l,e_c] - X_c[c_ab^m] e_m
                     for l, cab_l in nonzero[a][b]:
                         for m_out, v in nonzero[l][cc]:
-                            acc[m_out] = acc[m_out] + cab_l * v
-                    for m_out, cab_m in nonzero[a][b]:
-                        acc[m_out] = acc[m_out] - p.generators[cc].apply_to(cab_m)
-                if any(not q.is_zero() for q in acc):
+                            _add_product(acc[m_out], cab_l, v)
+                    for m_out, cab_m in varying[a][b]:
+                        _subtract_derivative(acc[m_out], fields[cc], cab_m)
+                if any(any(q.values()) for q in acc):
                     return False
     return True
+
+
+def _add_product(acc: dict, f: dict, g: dict) -> None:
+    """acc += f * g on coefficient maps."""
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
+def _subtract_derivative(acc: dict, field: Sequence[dict], f: dict) -> None:
+    """acc -= X[f] = sum_i X_i * df/dx_i on coefficient maps."""
+    for exp, coeff in f.items():
+        for i, e in enumerate(exp):
+            if e == 0 or not field[i]:
+                continue
+            lowered = exp[:i] + (e - 1,) + exp[i + 1 :]
+            for e2, c2 in field[i].items():
+                mono = tuple(x + y for x, y in zip(lowered, e2))
+                acc[mono] = acc.get(mono, 0) - coeff * e * c2
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +406,18 @@ class IsotropyAlgebra:
     point: tuple[Fraction, ...]
     ambient: Subspace           # ker(anchor at m) inside Q^N
     sker: Subspace              # degree-bounded strong kernel at m
-    quotient_basis: tuple[Vec, ...]  # representatives, complementary to sker
+    quotient: Subspace          # spanned by the representatives, complementary to sker
     bracket_table: tuple[tuple[Vec, ...], ...]  # coords of [q_a, q_b] in quotient basis
     degree_bound: int
 
     @property
+    def quotient_basis(self) -> tuple[Vec, ...]:
+        """The representatives q_a: the reduced-echelon basis of ``quotient``."""
+        return self.quotient.basis
+
+    @property
     def dim(self) -> int:
-        return len(self.quotient_basis)
+        return self.quotient.dim
 
     def class_coordinates(self, v: Sequence) -> Vec:
         """Coordinates of the class of v (must lie in ker) in the quotient basis.
@@ -398,9 +428,9 @@ class IsotropyAlgebra:
         their pivot columns are its coordinates.  No linear system is solved.
         """
         r = self.sker.reduce(v)
-        if any(Subspace(len(r), self.quotient_basis).reduce(r)):
+        if any(self.quotient.reduce(r)):
             raise ValueError("vector does not lie in the kernel at this point")
-        return tuple(r[next(i for i, x in enumerate(q) if x)] for q in self.quotient_basis)
+        return tuple(r[lead] for lead, _ in self.quotient.support)
 
     def project_subspace(self, v: Subspace) -> Subspace:
         """Image of a subspace of ker in the quotient, as a subspace of Q^dim."""
@@ -429,7 +459,11 @@ class IsotropyAlgebra:
 def isotropy_algebra(
     p: FoliationPresentation, m: Sequence, degree_bound: int | None = None
 ) -> IsotropyAlgebra:
-    """Quotient ker/Sker_D at m with the constant-coefficient-lift bracket."""
+    """Quotient ker/Sker_D at m with the constant-coefficient-lift bracket.
+
+    The structure functions the representatives meet are evaluated at m once
+    (``_structure_at``); every bracket of representatives reads that table.
+    """
     p.require_structure("the isotropy bracket")
     if degree_bound is None:
         degree_bound = default_strong_kernel_bound(p)
@@ -440,36 +474,52 @@ def isotropy_algebra(
         raise RuntimeError("strong kernel escaped the kernel; inconsistent data")
     # representatives: kernel basis reduced modulo sker, re-echelonized
     reduced = [r for r in map(sker.reduce, ker.basis) if any(r)]
-    reps = make_subspace(reduced, p.num_generators).basis
+    quotient = make_subspace(reduced, p.num_generators)
+    reps = quotient.basis
     g_dim = len(reps)
+    c_at_m = _structure_at(p, point, {i for q in reps for i, x in enumerate(q) if x})
     # the table is antisymmetric (structure_defect enforces c_ij = -c_ji):
     # fill the pairs a < b, zero the diagonal and negate for b > a
     table: list[list[Vec]] = [[(Fraction(0),) * g_dim for _ in range(g_dim)] for _ in range(g_dim)]
-    helper = IsotropyAlgebra(point, ker, sker, reps, (), degree_bound)
+    helper = IsotropyAlgebra(point, ker, sker, quotient, (), degree_bound)
     for a in range(g_dim):
         for b in range(a + 1, g_dim):
-            w = _constant_lift_bracket_value(p, reps[a], reps[b], point)
+            w = _lift_bracket(c_at_m, reps[a], reps[b])
             table[a][b] = helper.class_coordinates(w)
             table[b][a] = tuple(-x for x in table[a][b])
     return IsotropyAlgebra(
-        point, ker, sker, reps, tuple(tuple(row) for row in table), degree_bound
+        point, ker, sker, quotient, tuple(tuple(row) for row in table), degree_bound
     )
 
 
-def _constant_lift_bracket_value(
-    p: FoliationPresentation, u: Sequence[Fraction], v: Sequence[Fraction], m: Sequence
-) -> Vec:
-    """Value at m of [sum u_i e_i, sum v_j e_j] via structure functions."""
+StructureAtPoint = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+
+
+def _structure_at(p: FoliationPresentation, m: Sequence, support: Collection[int]) -> StructureAtPoint:
+    """The nonzero values c_ij^k(m) as ``(k, value)`` pairs, keyed by (i, j)
+    for i != j in ``support``; c_ii = 0 and c_ji = -c_ij, so each pair of
+    generators is evaluated once."""
     c = p.require_structure("the isotropy bracket")
-    n = p.num_generators
-    out = [Fraction(0)] * n
+    out: StructureAtPoint = {}
+    for i in support:
+        for j in support:
+            if i < j:
+                values = tuple((k, x) for k, x in enumerate(q.eval(m) for q in c[i][j]) if x)
+                out[i, j], out[j, i] = values, tuple((k, -x) for k, x in values)
+    return out
+
+
+def _lift_bracket(c_at_m: StructureAtPoint, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
+    """Value at m of [sum u_i e_i, sum v_j e_j] from the structure functions
+    at m, for u and v supported where ``c_at_m`` was evaluated."""
+    out = [Fraction(0)] * len(u)
     for i, ui in enumerate(u):
         if ui == 0:
             continue
         for j, vj in enumerate(v):
             if vj == 0:
                 continue
-            cij = [q.eval(m) for q in c[i][j]]
-            for k in range(n):
-                out[k] += ui * vj * cij[k]
+            uv = ui * vj
+            for k, x in c_at_m.get((i, j), ()):
+                out[k] += uv * x
     return tuple(out)

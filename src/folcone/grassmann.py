@@ -52,14 +52,17 @@ class Subspace:
 
     ``reduce`` is the one reduction modulo that basis: membership tests and
     the isotropy quotient (``foliation.IsotropyAlgebra``) are built on it.
+    Each row's lead column and nonzero entries are found on the first
+    ``reduce`` and kept with the subspace.
     """
 
-    __slots__ = ("ambient_dim", "basis", "_plucker")
+    __slots__ = ("ambient_dim", "basis", "_plucker", "_support")
 
     def __init__(self, ambient_dim: int, basis: tuple[Vec, ...]):
         self.ambient_dim = ambient_dim
         self.basis = basis
         self._plucker: tuple[Fraction, ...] | None = None
+        self._support: tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...] | None = None
 
     @property
     def dim(self) -> int:
@@ -71,6 +74,14 @@ class Subspace:
             self._plucker = normalize_plucker(plucker_of_basis(self.basis, self.ambient_dim))
         return self._plucker
 
+    @property
+    def support(self) -> tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...]:
+        """Per basis row, its lead column and its nonzero ``(column, entry)`` pairs."""
+        if self._support is None:
+            rows = [tuple((i, x) for i, x in enumerate(row) if x != 0) for row in self.basis]
+            self._support = tuple((pairs[0][0], pairs) for pairs in rows)
+        return self._support
+
     def reduce(self, v: Sequence) -> list[Fraction]:
         """Remainder of v modulo the reduced-echelon basis: v minus, for each
         row, v's entry at the row's pivot column times the row.  It is zero at
@@ -78,11 +89,11 @@ class Subspace:
         r = algebra.fracs(v)
         if len(r) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x != 0)
+        for lead, pairs in self.support:
             f = r[lead]
             if f != 0:
-                r = [a - f * b for a, b in zip(r, row)]
+                for i, x in pairs:
+                    r[i] -= f * x
         return r
 
     def contains_vector(self, v: Sequence) -> bool:

@@ -207,3 +207,40 @@ def test_exact_division():
     assert product.exact_div(x + y) == x ** 2 - y
     with pytest.raises(ValueError):
         (x ** 2 + y).exact_div(x + y)
+
+
+def shift_by_subs(p, point):
+    """The substitution route: q = p(y + a) through ``Polynomial.subs``."""
+    return p.subs({v: Polynomial.var(v, p.vars) + Polynomial.const(a, p.vars) for v, a in zip(p.vars, point)})
+
+
+point_st = st.one_of(st.just((0, 0)), st.tuples(frac_st, frac_st))
+
+
+@settings(max_examples=80, deadline=None)
+@given(poly_st, point_st, st.tuples(frac_st, frac_st))
+def test_shift_equals_the_substitution_route(p, a, y):
+    q = p.shift(a)
+    assert q == shift_by_subs(p, a)
+    assert q.eval(y) == p.eval([yi + ai for yi, ai in zip(y, a)])
+
+
+def test_shift_at_the_origin_is_the_polynomial_itself():
+    p = parse_polynomial("x^2*y - 3*y + 1/2", XY)
+    assert p.shift((0, Fraction(0))) is p
+
+
+@pytest.mark.parametrize("point", [(1,), (1, 2, 5)])
+def test_shift_refuses_a_point_of_the_wrong_length(point):
+    p = parse_polynomial("x + 3*y^2", XY)
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        p.shift(point)
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        p.eval(point)
+
+
+def test_eval_of_a_constant_checks_the_point_length():
+    c = Polynomial.const(Fraction(7, 3), XY)
+    assert c.eval((5, -1)) == Fraction(7, 3) and Polynomial.zero(XY).eval((1, 1)) == 0
+    with pytest.raises(ValueError, match="point dimension mismatch"):
+        c.eval((1, 2, 3))

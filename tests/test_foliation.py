@@ -67,6 +67,12 @@ def fresh_so3_augmented():
     return FoliationPresentation(XYZ, so3.generators + (extra,), name="so3_aug")
 
 
+def lift_bracket_value(p, u, v, m):
+    """Value at m of [sum u_i e_i, sum v_j e_j] via the structure functions."""
+    support = {i for w in (u, v) for i, x in enumerate(w) if x}
+    return foliation._lift_bracket(foliation._structure_at(p, m, support), u, v)
+
+
 def non_involutive():
     # [d/dx, x d/dy] = d/dy is no combination of the two fields at x = 0,
     # so no structure functions exist at any bound
@@ -311,6 +317,79 @@ class TestJacobiFlag:
             jacobi_flag(non_involutive())
 
 
+def jacobi_flag_reference(p):
+    """The Jacobi flag summed over Polynomial objects, X_c[c_ab^m] always applied."""
+    c = p.require_structure("the Jacobi flag")
+    n = p.num_generators
+    zero = Polynomial.zero(p.vars)
+    nonzero = [
+        [[(l, c[a][b][l]) for l in range(n) if not c[a][b][l].is_zero()] for b in range(n)]
+        for a in range(n)
+    ]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = [zero] * n
+                for (a, b, cc) in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, cab_l in nonzero[a][b]:
+                        for m_out, v in nonzero[l][cc]:
+                            acc[m_out] = acc[m_out] + cab_l * v
+                    for m_out, cab_m in nonzero[a][b]:
+                        acc[m_out] = acc[m_out] - p.generators[cc].apply_to(cab_m)
+                if any(not q.is_zero() for q in acc):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("name", [*BUILTIN_NAMES, "gl2", "order2", "so3_augmented"])
+def test_jacobi_flag_matches_the_polynomial_reference(name):
+    fixtures = {"gl2": fresh_gl2, "order2": fresh_order2, "so3_augmented": fresh_so3_augmented}
+    p = fixtures[name]() if name in fixtures else load_preset(name).presentation
+    assert jacobi_flag(p) is jacobi_flag_reference(p)
+
+
+def zero_generator_presentation(n_gens, upper):
+    """N zero vector fields over (x, y): every antisymmetric c satisfies
+    [X_i, X_j] = sum_k c_ij^k X_k, so the Jacobi flag tests c alone.
+    ``upper`` lists c_ij for the pairs i < j in order."""
+    zero_field = parse_vector_field("0*d/dx", XY)
+    zero = (Polynomial.zero(XY),) * n_gens
+    c = [[zero] * n_gens for _ in range(n_gens)]
+    pairs = [(i, j) for i in range(n_gens) for j in range(i + 1, n_gens)]
+    for (i, j), vec in zip(pairs, upper):
+        c[i][j] = tuple(vec)
+        c[j][i] = tuple(-q for q in vec)
+    return FoliationPresentation(XY, (zero_field,) * n_gens, tuple(tuple(row) for row in c))
+
+
+@st.composite
+def constant_structures(draw):
+    n_gens = draw(st.integers(3, 4))
+    entry = st.integers(-1, 1).map(lambda k: Polynomial.const(k, XY))
+    upper = draw(
+        st.lists(st.lists(entry, min_size=n_gens, max_size=n_gens), min_size=n_gens * (n_gens - 1) // 2,
+                 max_size=n_gens * (n_gens - 1) // 2)
+    )
+    return zero_generator_presentation(n_gens, upper)
+
+
+@settings(max_examples=150, deadline=None)
+@given(constant_structures())
+def test_jacobi_flag_matches_the_reference_on_constant_structures(p):
+    assert jacobi_flag(p) is jacobi_flag_reference(p)
+
+
+def test_constant_structures_give_both_verdicts():
+    one = Polynomial.one(XY)
+    zero = Polynomial.zero(XY)
+    # Heisenberg: [e1, e2] = e3, a Lie algebra
+    heisenberg = zero_generator_presentation(3, [(zero, zero, one), (zero,) * 3, (zero,) * 3])
+    # [e1, e2] = e1 and [e2, e3] = e2: the Jacobiator of (e1, e2, e3) is -e1
+    broken = zero_generator_presentation(3, [(one, zero, zero), (zero,) * 3, (zero, one, zero)])
+    assert jacobi_flag(heisenberg) is jacobi_flag_reference(heisenberg) is True
+    assert jacobi_flag(broken) is jacobi_flag_reference(broken) is False
+
+
 class TestIsotropy:
     def test_missing_structure_raises(self):
         with pytest.raises(MissingStructureFunctions):
@@ -370,10 +449,8 @@ class TestIsotropy:
             for b in range(iso.dim):
                 rep = iso.quotient_basis[a]
                 shifted = tuple(r + s for r, s in zip(rep, sker_vec))
-                from folcone.foliation import _constant_lift_bracket_value
-
-                w1 = _constant_lift_bracket_value(aug, rep, iso.quotient_basis[b], iso.point)
-                w2 = _constant_lift_bracket_value(aug, shifted, iso.quotient_basis[b], iso.point)
+                w1 = lift_bracket_value(aug, rep, iso.quotient_basis[b], iso.point)
+                w2 = lift_bracket_value(aug, shifted, iso.quotient_basis[b], iso.point)
                 delta = tuple(q2 - q1 for q1, q2 in zip(w1, w2))
                 assert iso.sker.contains_vector(delta)
 
@@ -456,13 +533,54 @@ def test_class_coordinates_match_a_linear_solve(index, data):
 def test_bracket_table_equals_every_ordered_pair(index):
     # the table is filled from the pairs a < b; each entry, the diagonal and
     # the pairs b > a included, must be the class of the bracket value itself
-    from folcone.foliation import _constant_lift_bracket_value
-
     iso = isotropy_case(index)
     name, _ = ISOTROPY_CASES[index]
     p = fresh_so3_augmented() if name is None else load_preset(name).presentation
     reps = iso.quotient_basis
     assert iso.bracket_table == tuple(
-        tuple(iso.class_coordinates(_constant_lift_bracket_value(p, qa, qb, iso.point)) for qb in reps)
+        tuple(iso.class_coordinates(lift_bracket_value(p, qa, qb, iso.point)) for qb in reps)
         for qa in reps
     )
+
+
+def dense_reduce(basis, v):
+    """Reference remainder modulo reduced-echelon rows, over all N columns."""
+    r = [Fraction(x) for x in v]
+    for row in basis:
+        f = r[next(i for i, x in enumerate(row) if x)]
+        r = [a - f * b for a, b in zip(r, row)]
+    return r
+
+
+@st.composite
+def random_quotients(draw):
+    """ker, a subspace S of it and the representatives of ker/S, as
+    ``isotropy_algebra`` forms them, from random rows in Q^N."""
+    n = draw(st.integers(1, 6))
+    entry = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=0, max_size=n))
+    ker = make_subspace(rows, n)
+    picks = draw(st.lists(st.lists(st.integers(-2, 2), min_size=ker.dim, max_size=ker.dim), max_size=ker.dim))
+    sker = make_subspace(
+        [[sum((c * row[i] for c, row in zip(pick, ker.basis)), Fraction(0)) for i in range(n)] for pick in picks], n
+    )
+    quotient = make_subspace([r for r in (dense_reduce(sker.basis, row) for row in ker.basis) if any(r)], n)
+    return foliation.IsotropyAlgebra((), ker, sker, quotient, (), 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_quotients(), st.data())
+def test_class_coordinates_match_a_dense_reduction(iso, data):
+    n = iso.ambient.ambient_dim
+    coeffs = data.draw(st.lists(small_fraction, min_size=iso.ambient.dim, max_size=iso.ambient.dim))
+    inside = [sum((c * row[i] for c, row in zip(coeffs, iso.ambient.basis)), Fraction(0)) for i in range(n)]
+    outside = data.draw(st.lists(small_fraction, min_size=n, max_size=n))
+    leads = [next(i for i, x in enumerate(q) if x) for q in iso.quotient_basis]
+    for v in (inside, outside):
+        r = dense_reduce(iso.sker.basis, v)
+        if any(dense_reduce(iso.quotient_basis, r)):
+            with pytest.raises(ValueError, match="vector does not lie in the kernel"):
+                iso.class_coordinates(v)
+        else:
+            assert iso.class_coordinates(v) == tuple(r[c] for c in leads) == solve_oracle(iso, v)
+    assert iso.dim == iso.ambient.dim - iso.sker.dim

@@ -178,6 +178,37 @@ class TestReduce:
         assert (not any(r)) == (algebra.rank(list(s.basis) + [v]) == s.dim) == s.contains_vector(v)
 
 
+def dense_reduce(basis, v):
+    """Reference remainder: for each row, subtract v's entry at the row's lead
+    column times the whole row, entry by entry over all N columns."""
+    r = [Fraction(x) for x in v]
+    for row in basis:
+        f = r[next(i for i, x in enumerate(row) if x)]
+        r = [a - f * b for a, b in zip(r, row)]
+    return r
+
+
+class TestReduceAgainstDenseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(bases(), st.data())
+    def test_inside_and_outside(self, case, data):
+        rows, n = case
+        s = make_subspace(rows, n)
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=s.dim, max_size=s.dim))
+        inside = [sum((c * row[i] for c, row in zip(coeffs, s.basis)), Fraction(0)) for i in range(n)]
+        outside = data.draw(st.lists(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)), min_size=n, max_size=n))
+        for v in (inside, outside):
+            expected = dense_reduce(s.basis, v)
+            # twice: the second call reads the row supports kept by the first
+            assert s.reduce(v) == expected == s.reduce(tuple(v))
+            assert s.contains_vector(v) == (not any(expected))
+        assert s.contains_vector(inside)
+
+    def test_ambient_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            make_subspace([(1, 2, 3)]).reduce((1, 2))
+
+
 class TestAnnihilator:
     def test_line_in_three_space(self):
         v = annihilator(make_subspace([(1, 0, 0)]))
