@@ -76,7 +76,6 @@ from .presets import Preset, PresetError, load_preset
 from .symbols import (
     DiffOperator,
     OddDegreeWarning,
-    SymbolPolynomial,
     UEAElement,
     classical_principal_symbol,
     ellipticity_check,

@@ -65,7 +65,7 @@ MAX_FLOW_STEPS = 100_000
 # ---------------------------------------------------------------------------
 
 
-def _vec(v: Sequence[Fraction]) -> list[str]:
+def _vec(v: Sequence[Fraction | int]) -> list[str]:
     return [str(x) for x in v]
 
 
@@ -292,14 +292,14 @@ def cmd_symbol(args) -> tuple[Fields, int]:
     classical = classical_principal_symbol(d, k)
     results = {
         "degree": k,
-        "top_symbol": sigma.as_string(),
+        "top_symbol": str(sigma),
         "top_symbol_zero": sigma.is_zero(),
         "realized_order": d.order,
         "realized_zero": d.is_zero(),
         "realized_normal_form": {
             "|".join(str(e) for e in alpha): poly_to_string(f) for alpha, f in sorted(d.terms.items())
         },
-        "classical_principal_symbol": classical.as_string(fiber_prefix="eta"),
+        "classical_principal_symbol": str(classical),
     }
     return {"parameters": {"preset": args.preset, "op": args.op, "degree": k}, "results": results}, 0
 

@@ -317,6 +317,16 @@ class Polynomial:
         out.vars, out.terms, out._hash = self.vars, {e: c for e, c in terms.items() if c}, None
         return out
 
+    def lift(self, vars: Sequence[str]) -> "Polynomial":
+        """The same polynomial over ``vars``, a tuple that extends ``self.vars``."""
+        vars = tuple(vars)
+        if vars[: len(self.vars)] != self.vars:
+            raise ValueError(f"{vars} does not extend {self.vars}")
+        pad = (0,) * (len(vars) - len(self.vars))
+        out = Polynomial.__new__(Polynomial)
+        out.vars, out.terms, out._hash = vars, {e + pad: c for e, c in self.terms.items()}, None
+        return out
+
     def exact_div(self, divisor: "Polynomial") -> "Polynomial":
         """Exact polynomial division; raises ValueError when not divisible.
 
@@ -355,6 +365,18 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({poly_to_string(self)!r}, vars={self.vars})"
+
+
+def with_fiber(vars: Sequence[str], prefix: str, count: int) -> tuple[str, ...]:
+    """``vars`` followed by the fiber coordinates ``prefix1 ... prefix<count>``.
+
+    The prefix takes a trailing ``_`` until no fiber name is a base variable:
+    over the base variables ``xi1 y`` the fiber names are ``xi_1, xi_2, ...``.
+    """
+    vars = tuple(vars)
+    while any(f"{prefix}{i+1}" in vars for i in range(count)):
+        prefix += "_"
+    return vars + tuple(f"{prefix}{i+1}" for i in range(count))
 
 
 def _term_str(exp: Exponent, c: Fraction, vars: Sequence[str]) -> str:

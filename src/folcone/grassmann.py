@@ -61,7 +61,7 @@ class Subspace:
     def __init__(self, ambient_dim: int, basis: tuple[Vec, ...]):
         self.ambient_dim = ambient_dim
         self.basis = basis
-        self._plucker: tuple[Fraction, ...] | None = None
+        self._plucker: tuple[int, ...] | None = None
         self._support: tuple[tuple[int, tuple[tuple[int, Fraction], ...]], ...] | None = None
 
     @property
@@ -69,7 +69,7 @@ class Subspace:
         return len(self.basis)
 
     @property
-    def plucker(self) -> tuple[Fraction, ...]:
+    def plucker(self) -> tuple[int, ...]:
         if self._plucker is None:
             self._plucker = normalize_plucker(plucker_of_basis(self.basis, self.ambient_dim))
         return self._plucker
@@ -179,12 +179,12 @@ def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> t
     )
 
 
-def normalize_plucker(vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def normalize_plucker(vec: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale to primitive integers with the first nonzero entry positive."""
-    ints = algebra.primitive(vec)
+    ints = tuple(algebra.primitive(vec))
     if not any(ints):
         raise ZeroPluckerLimit("all Pluecker coordinates vanish")
-    return tuple(Fraction(n) for n in ints)
+    return ints
 
 
 def reconstruct_from_plucker(vec: Sequence[Fraction], ambient_dim: int, k: int) -> Subspace:

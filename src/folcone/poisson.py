@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import algebra
-from .expr import Polynomial, PolyVectorField
+from .expr import Polynomial, PolyVectorField, with_fiber
 from .foliation import FoliationPresentation, regular_data
 from .grassmann import Curve
 from .hncone import hn_fiber, hn_membership_distance
@@ -45,35 +45,15 @@ class DualPoint:
 
 
 def dual_vars(p: FoliationPresentation) -> tuple[str, ...]:
-    fiber = tuple(f"xi{k+1}" for k in range(p.num_generators))
-    clash = set(fiber) & set(p.vars)
-    if clash:
-        fiber = tuple(f"zeta{k+1}" for k in range(p.num_generators))
-    return tuple(p.vars) + fiber
-
-
-def promote_base(p: FoliationPresentation, f: Polynomial) -> Polynomial:
-    """Lift a base polynomial to the dual bundle's variables (pullback)."""
-    names = dual_vars(p)
-    out = Polynomial.zero(names)
-    pad = (0,) * p.num_generators
-    for exp, c in f.terms.items():
-        out = out + Polynomial.monomial(tuple(exp) + pad, c, names)
-    return out
+    """The base variables followed by the fiber coordinates xi_1..xi_N."""
+    return with_fiber(p.vars, "xi", p.num_generators)
 
 
 def ev(p: FoliationPresentation, a: Sequence) -> Polynomial:
     """The fiberwise-linear evaluation function of a constant combination a."""
     names = dual_vars(p)
-    n = p.dim
-    terms = {}
-    for i, c in enumerate(a):
-        c = Fraction(c)
-        if c != 0:
-            exp = [0] * len(names)
-            exp[n + i] = 1
-            terms[tuple(exp)] = c
-    return Polynomial(names, terms)
+    xi = [Polynomial.var(v, names) for v in names[p.dim :]]
+    return sum((Fraction(c) * xi_i for c, xi_i in zip(a, xi, strict=True)), Polynomial.zero(names))
 
 
 def poisson_bracket(p: FoliationPresentation, f: Polynomial, g: Polynomial) -> Polynomial:
@@ -100,13 +80,13 @@ def poisson_bracket(p: FoliationPresentation, f: Polynomial, g: Polynomial) -> P
                 if c.is_zero():
                     continue
                 xi_k = Polynomial.var(names[n + k], names)
-                out = out + promote_base(p, c) * xi_k * df_xi[i] * dg_xi[j]
+                out = out + c.lift(names) * xi_k * df_xi[i] * dg_xi[j]
     for i in range(big_n):
         for l in range(n):
             rho_li = anchor[l][i]
             if rho_li.is_zero():
                 continue
-            lifted = promote_base(p, rho_li)
+            lifted = rho_li.lift(names)
             if not df_xi[i].is_zero() and not dg_x[l].is_zero():
                 out = out + lifted * df_xi[i] * dg_x[l]
             if not df_x[l].is_zero() and not dg_xi[i].is_zero():
@@ -198,13 +178,15 @@ def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -
     defects = []
     names = dual_vars(p)
     n, big_n = p.dim, p.num_generators
+    coords = [Polynomial.var(v, names) for v in names]
+    xi = coords[n:]
 
     def h_apply(f: Polynomial) -> Polynomial:
         out = Polynomial.zero(names)
         for l in range(n):
             df = f.diff(names[l])
             if not df.is_zero():
-                out = out + promote_base(p, h.base.components[l]) * df
+                out = out + h.base.components[l].lift(names) * df
         for j in range(big_n):
             df = f.diff(names[n + j])
             if df.is_zero():
@@ -213,14 +195,12 @@ def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -
             for k in range(big_n):
                 coeff = h.fiber_matrix[j][k]
                 if not coeff.is_zero():
-                    phi_j = phi_j + promote_base(p, coeff) * Polynomial.var(names[n + k], names)
+                    phi_j = phi_j + coeff.lift(names) * xi[k]
             out = out + phi_j * df
         return out
 
     for j in range(big_n):
-        e_j = [Fraction(0)] * big_n
-        e_j[j] = Fraction(1)
-        lhs = h_apply(ev(p, e_j))
+        lhs = h_apply(xi[j])  # ev_{e_j} = xi_j
         rhs = Polynomial.zero(names)
         for i, ci in enumerate(h.combination):
             if ci == 0:
@@ -228,12 +208,12 @@ def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -
             for k in range(big_n):
                 c = structure[i][j][k]
                 if not c.is_zero():
-                    rhs = rhs + ci * promote_base(p, c) * Polynomial.var(names[n + k], names)
+                    rhs = rhs + ci * c.lift(names) * xi[k]
         if lhs != rhs:
             defects.append(f"H[ev_e{j+1}] != ev_[a,e{j+1}]")
     for l in range(n):
-        lhs = h_apply(promote_base(p, Polynomial.var(p.vars[l], p.vars)))
-        rhs = promote_base(p, h.base.components[l])
+        lhs = h_apply(coords[l])
+        rhs = h.base.components[l].lift(names)
         if lhs != rhs:
             defects.append(f"H[x_{l+1}] != rho(a)_{l+1}")
     return defects

@@ -15,8 +15,9 @@ Format (``#`` starts a comment; blank lines separate nothing):
     operators                            (optional)
       <opname> = <operator expression>
 
-Structure lines fix c_ij; unspecified pairs default to the zero bracket, and
-the whole array is validated exactly against the generator brackets.
+Variable and generator names must all differ.  Structure lines fix c_ij;
+unspecified pairs default to the zero bracket, and the whole array is
+validated exactly against the generator brackets.
 Builtin presets: debord_line, so3_r3, vanishing_origin_2, vanishing_origin_3,
 order2_r2, r4_counterexample.
 """
@@ -80,6 +81,9 @@ def parse_preset_text(text: str, source: str = "<string>") -> Preset:
             if len(head) != 2:
                 raise PresetError("'vars' needs at least one variable", lineno)
             vars_ = tuple(head[1].replace(",", " ").split())
+            for i, v in enumerate(vars_):
+                if v in vars_[:i]:
+                    raise PresetError(f"duplicate variable name {v!r}", lineno)
             continue
         if line in ("generators", "structure", "operators"):
             section = line
@@ -110,8 +114,11 @@ def parse_preset_text(text: str, source: str = "<string>") -> Preset:
         raise PresetError("missing 'generators' section", 1)
 
     gen_names = tuple(g for g, _, _ in generators)
-    if len(set(gen_names)) != len(gen_names):
-        raise PresetError("duplicate generator name", generators[0][2])
+    for i, (gname, _, lineno) in enumerate(generators):
+        if gname in vars_:
+            raise PresetError(f"generator {gname!r} has the name of a variable", lineno)
+        if gname in gen_names[:i]:
+            raise PresetError(f"duplicate generator name {gname!r}", lineno)
     fields = []
     for gname, expr, lineno in generators:
         try:

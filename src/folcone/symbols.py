@@ -6,9 +6,15 @@ a.(f b) = (f a).b + X_a[f] b, so realization is an algebra morphism onto
 composed differential operators in normal form (coefficients left, partial
 derivatives right).
 
-The top symbol of an element of degree k replaces each letter with a
-commuting fiber variable xi_i; restricted to a sampled cone fiber it depends
-only on the realized operator, which the test suites check exactly.
+Symbols are polynomials on A*, the dual of the holonomy Lie algebroid: a
+plain ``Polynomial`` over the base variables followed by one fiber
+coordinate per generator, named by ``expr.with_fiber``.  The top symbol of
+an element of degree k replaces each letter with the commuting fiber
+variable xi_i; restricted to a sampled cone fiber it depends only on the
+realized operator, which the test suites check exactly.  The classical
+principal symbol lives on T*M in the same layout, with fiber coordinates
+eta_1..eta_n, and the pullback identity between the two is one
+substitution xi = rho(x)^T eta.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from . import algebra
-from .expr import OperatorWord, Polynomial, PolyVectorField, merge_words
+from .expr import OperatorWord, Polynomial, PolyVectorField, merge_words, with_fiber
 from .foliation import FoliationPresentation
 from .grassmann import Subspace
 from .hncone import hn_fiber
@@ -237,135 +243,57 @@ def realize(element: UEAElement, p: FoliationPresentation) -> DiffOperator:
 
 
 # ---------------------------------------------------------------------------
-# Symbols
+# Symbols: polynomials on A* and on T*M
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymbolPolynomial:
-    """Polynomial in base variables and fiber variables, fiber-homogeneous.
-
-    ``terms`` maps a fiber exponent tuple (length fiber_dim, total degree
-    exactly ``degree``) to a polynomial coefficient in the base variables.
-    """
-
-    base_vars: tuple[str, ...]
-    fiber_dim: int
-    degree: int
-    terms: tuple[tuple[tuple[int, ...], Polynomial], ...]
-
-    @classmethod
-    def build(cls, base_vars, fiber_dim, degree, term_map) -> "SymbolPolynomial":
-        clean = []
-        for exp, f in sorted(term_map.items()):
-            if f.is_zero():
-                continue
-            if len(exp) != fiber_dim or sum(exp) != degree:
-                raise ValueError("symbol terms must be homogeneous of the stated degree")
-            clean.append((tuple(exp), f))
-        return cls(tuple(base_vars), fiber_dim, degree, tuple(clean))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self, m: Sequence, xi: Sequence) -> Fraction:
-        """Exact evaluation at a rational base point and fiber covector."""
-        vals = [Fraction(x) for x in xi]
-        if len(vals) != self.fiber_dim:
-            raise ValueError("fiber dimension mismatch")
-        total = Fraction(0)
-        for exp, f in self.terms:
-            term = f.eval(m)
-            for v, e in zip(vals, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def eval_float(self, m: Sequence[float], xi: Sequence[float]) -> float:
-        total = 0.0
-        for exp, f in self.terms:
-            term = f.eval_float(m)
-            for v, e in zip(xi, exp):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def as_string(self, fiber_prefix: str = "xi") -> str:
-        combined = self.as_combined_polynomial(fiber_prefix)
-        return str(combined)
-
-    def as_combined_polynomial(self, fiber_prefix: str = "xi") -> Polynomial:
-        names = tuple(self.base_vars) + tuple(
-            f"{fiber_prefix}{i+1}" for i in range(self.fiber_dim)
-        )
-        out = Polynomial.zero(names)
-        for exp, f in self.terms:
-            for bexp, c in f.terms.items():
-                out = out + Polynomial.monomial(tuple(bexp) + tuple(exp), c, names)
-        return out
-
-
-def symbol_top(element: UEAElement, k: int | None = None, fiber_dim: int | None = None) -> SymbolPolynomial:
-    """Top symbol: words of length k contribute coeff(x) * xi_{i1}...xi_{ik}."""
+def symbol_top(element: UEAElement, k: int | None = None, fiber_dim: int | None = None) -> Polynomial:
+    """Top symbol on A*, over the base variables and xi_1..xi_N: words of
+    length k contribute coeff(x) * xi_{i1}...xi_{ik}."""
     if k is None:
         k = element.degree
     if fiber_dim is None:
         fiber_dim = max((max(w.letters) + 1 for w in element.words if w.letters), default=0)
-    term_map: dict[tuple[int, ...], Polynomial] = {}
+    n = len(element.vars)
+    names = with_fiber(element.vars, "xi", fiber_dim)
+    sigma = Polynomial.zero(names)
     for w in element.words:
         if len(w.letters) != k:
             continue
-        exp = [0] * fiber_dim
+        exp = [0] * len(names)
         for letter in w.letters:
             if letter >= fiber_dim:
                 raise ValueError("letter outside the declared fiber dimension")
-            exp[letter] += 1
-        key = tuple(exp)
-        term_map[key] = term_map[key] + w.coefficient if key in term_map else w.coefficient
-    return SymbolPolynomial.build(element.vars, fiber_dim, k, term_map)
+            exp[n + letter] += 1
+        sigma = sigma + w.coefficient.lift(names) * Polynomial.monomial(exp, 1, names)
+    return sigma
 
 
-def classical_principal_symbol(d: DiffOperator, k: int | None = None) -> SymbolPolynomial:
-    """sum_{|alpha| = k} f_alpha(x) eta^alpha from the normal form."""
+def classical_principal_symbol(d: DiffOperator, k: int | None = None) -> Polynomial:
+    """sum_{|alpha| = k} f_alpha(x) eta^alpha from the normal form, over the
+    base variables and eta_1..eta_n."""
     if k is None:
         k = d.order
-    n = len(d.vars)
-    term_map = {alpha: f for alpha, f in d.terms.items() if sum(alpha) == k}
-    return SymbolPolynomial.build(d.vars, n, k, term_map)
+    names = with_fiber(d.vars, "eta", len(d.vars))
+    return Polynomial(
+        names, {e + alpha: c for alpha, f in d.terms.items() if sum(alpha) == k for e, c in f.terms.items()}
+    )
 
 
-def symbol_on_fiber(sigma: SymbolPolynomial, m: Sequence, v_dual: Subspace) -> Polynomial:
-    """Restrict to a covector space: substitute xi = B^T u for the canonical
-    basis B of the space; returns an exact polynomial in u_1..u_r."""
-    if v_dual.ambient_dim != sigma.fiber_dim:
+def symbol_on_fiber(sigma: Polynomial, m: Sequence, v_dual: Subspace) -> Polynomial:
+    """Restrict to a covector space: substitute x = m and xi = B^T u for the
+    canonical basis B of the space; returns an exact polynomial in u_1..u_r."""
+    if len(sigma.vars) - len(m) != v_dual.ambient_dim:
         raise ValueError("fiber dimension mismatch")
     r = v_dual.dim
-    u_vars = tuple(f"u{i+1}" for i in range(r))
-    forms = []
-    for j in range(sigma.fiber_dim):
-        terms = {}
-        for a in range(r):
-            coeff = v_dual.basis[a][j]
-            if coeff != 0:
-                exp = [0] * r
-                exp[a] = 1
-                terms[tuple(exp)] = coeff
-        forms.append(Polynomial(u_vars, terms))
-    out = Polynomial.zero(u_vars)
-    for exp, f in sigma.terms:
-        c = f.eval(m)
-        if c == 0:
-            continue
-        term = Polynomial.const(c, u_vars)
-        for j, e in enumerate(exp):
-            for _ in range(e):
-                term = term * forms[j]
-                if term.is_zero():
-                    break
-        out = out + term
-    return out
+    u_vars = tuple(f"u{a+1}" for a in range(r))
+    unit = [tuple(int(a == b) for b in range(r)) for a in range(r)]
+    xi = [
+        Polynomial(u_vars, {unit[a]: row[j] for a, row in enumerate(v_dual.basis)})
+        for j in range(v_dual.ambient_dim)
+    ]
+    x = [Polynomial.const(c, u_vars) for c in m]
+    return sigma.subs(dict(zip(sigma.vars, x + xi)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +312,19 @@ class PullbackReport:
         return self.defect.is_zero()
 
 
-def pullback_defect(top: SymbolPolynomial, d: DiffOperator, p: FoliationPresentation) -> Polynomial:
-    """The classical symbol of d minus ``top`` pulled back along rho^T, in
-    Q[x, eta]: xi_j = sum_l X_j^l(x) eta_l is substituted into the top
-    symbol, so the difference is 0 exactly when the identity holds at every
-    point and covector."""
-    classical = classical_principal_symbol(d, top.degree).as_combined_polynomial("eta")
+def pullback_defect(top: Polynomial, classical: Polynomial, p: FoliationPresentation) -> Polynomial:
+    """``classical`` minus ``top`` pulled back along rho^T, in Q[x, eta]: one
+    substitution of xi_j = sum_l X_j^l(x) eta_l into the top symbol, so the
+    difference is 0 exactly when the identity holds at every point and
+    covector."""
     names = classical.vars
-    pad = (0,) * p.dim
-    mapping = {v: Polynomial.var(v, names) for v in p.vars}
-    eta = [Polynomial.var(f"eta{l+1}", names) for l in range(p.dim)]
-    for j, g in enumerate(p.generators):
-        xi_j = Polynomial.zero(names)
-        for comp, eta_l in zip(g.components, eta):
-            xi_j = xi_j + Polynomial(names, {e + pad: c for e, c in comp.terms.items()}) * eta_l
-        mapping[f"xi{j+1}"] = xi_j
-    return classical - top.as_combined_polynomial().subs(mapping)
+    x = [Polynomial.var(v, names) for v in names[: p.dim]]
+    eta = [Polynomial.var(v, names) for v in names[p.dim :]]
+    xi = [
+        sum((comp.lift(names) * eta_l for comp, eta_l in zip(g.components, eta)), Polynomial.zero(names))
+        for g in p.generators
+    ]
+    return classical - top.subs(dict(zip(top.vars, x + xi)))
 
 
 def pullback_consistency(element: UEAElement, p: FoliationPresentation) -> PullbackReport:
@@ -408,7 +333,7 @@ def pullback_consistency(element: UEAElement, p: FoliationPresentation) -> Pullb
     Q[x, eta]."""
     k = element.degree
     top = symbol_top(element, k, fiber_dim=p.num_generators)
-    return PullbackReport(pullback_defect(top, realize(element, p), p))
+    return PullbackReport(pullback_defect(top, classical_principal_symbol(realize(element, p), k), p))
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +497,7 @@ def ellipticity_check(
     for m in points:
         point = tuple(Fraction(x) for x in m)
         sample = hn_fiber(p, point, direction_count=direction_count, arc_degree=arc_degree, seed=seed)
+        form = _fiber_form(sigma, point) if k != 2 else None
         fibers = []
         for space in sample.spaces:
             restricted = symbol_on_fiber(sigma, point, space)
@@ -602,9 +528,7 @@ def ellipticity_check(
             else:
                 # seeded sampling on the Euclidean unit sphere of the space
                 q_ortho, _ = np.linalg.qr(space.basis_floats().T)
-                fmin = _sphere_minimum_on_space(
-                    sigma, point, q_ortho, sphere_samples, seed, nonvanishing
-                )
+                fmin = _sphere_minimum_on_space(form, q_ortho, sphere_samples, seed, nonvanishing)
                 fv = FiberVerdict(space, fmin, None, False, fmin > tolerance)
             fibers.append(fv)
         # prefer a vanishing-restriction witness when reporting failure
@@ -616,15 +540,38 @@ def ellipticity_check(
     return EllipticityReport(k, tolerance, tuple(verdicts))
 
 
+def _fiber_form(sigma: Polynomial, m: Sequence[Fraction]) -> list[tuple[tuple[int, ...], float]]:
+    """sigma at the base point m: its fiber exponents in sorted order, each
+    with the float coefficient at m summed over its base terms in term order."""
+    n = len(m)
+    mf = [float(x) for x in m]
+    coeffs: dict[tuple[int, ...], float] = {}
+    for exp, c in sigma.terms.items():
+        term = float(c)
+        for v, e in zip(mf, exp[:n]):
+            if e:
+                term *= v ** e
+        coeffs[exp[n:]] = coeffs.get(exp[n:], 0.0) + term
+    return sorted(coeffs.items())
+
+
 def _sphere_minimum_on_space(
-    sigma: SymbolPolynomial,
-    m: Sequence[Fraction],
+    form: list[tuple[tuple[int, ...], float]],
     q_ortho: np.ndarray,
     samples: int,
     seed: int,
     use_abs: bool,
 ) -> float:
-    mf = [float(x) for x in m]
+    def value(xi: np.ndarray) -> float:
+        total = 0.0
+        for exp, coeff in form:
+            term = coeff
+            for v, e in zip(xi, exp):
+                if e:
+                    term *= v ** e
+            total += term
+        return abs(total) if use_abs else total
+
     r = q_ortho.shape[1]
     rng = np.random.default_rng(seed)
     count = max(10 * r * samples, 8)
@@ -637,9 +584,7 @@ def _sphere_minimum_on_space(
             continue
         c = c / norm
         xi = q_ortho @ c
-        val = sigma.eval_float(mf, xi)
-        if use_abs:
-            val = abs(val)
+        val = value(xi)
         if val < best:
             best, best_c = val, c
     if best_c is None:
@@ -650,24 +595,17 @@ def _sphere_minimum_on_space(
     eps = 1e-6
     for _ in range(100):
         grad = np.zeros(r)
-        base = sigma.eval_float(mf, q_ortho @ c)
-        if use_abs:
-            base = abs(base)
+        base = value(q_ortho @ c)
         for i in range(r):
             cc = c.copy()
             cc[i] += eps
             cc = cc / np.linalg.norm(cc)
-            v = sigma.eval_float(mf, q_ortho @ cc)
-            if use_abs:
-                v = abs(v)
-            grad[i] = (v - base) / eps
+            grad[i] = (value(q_ortho @ cc) - base) / eps
         if np.linalg.norm(grad) < 1e-12:
             break
         cand = c - step * grad
         cand = cand / np.linalg.norm(cand)
-        val = sigma.eval_float(mf, q_ortho @ cand)
-        if use_abs:
-            val = abs(val)
+        val = value(q_ortho @ cand)
         if val < best:
             best, c = val, cand
         else:

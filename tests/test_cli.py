@@ -7,7 +7,10 @@ import sys
 import pytest
 
 from folcone.cli import MAX_FLOW_STEPS, _parse_scenario, main
+from folcone.expr import parse_operator
+from folcone.poisson import dual_vars
 from folcone.presets import BUILTIN_NAMES, PresetError, load_preset, parse_preset_text
+from folcone.symbols import UEAElement, pullback_consistency
 
 
 REPORT_KEYS = {"schema", "version", "command", "parameters", "seed", "results", "timing_seconds"}
@@ -77,6 +80,28 @@ class TestPresets:
         with pytest.raises(PresetError):
             load_preset("not_a_preset")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            # the second x could never be reached
+            ("name dup\nvars x x\n\ngenerators\n  g1 = d/dx\n", 2),
+            # generator x would shadow variable x in every operator
+            ("name shadow\nvars x y\n\ngenerators\n  x = d/dx\n  g2 = d/dy\n\noperators\n  p = x*g2\n", 5),
+            # the error names the repeated generator's line, not the first one's
+            ("name twice\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = d/dy\n  g1 = x*d/dy\n", 7),
+        ],
+        ids=["variable-twice", "generator-named-like-variable", "generator-twice"],
+    )
+    def test_repeated_names_rejected(self, capsys, tmp_path, text, line):
+        path = tmp_path / "bad.preset"
+        path.write_text(text)
+        with pytest.raises(PresetError) as err:
+            load_preset(str(path))
+        assert err.value.line == line
+        code, out, err_text = run_cli(capsys, "analyze", str(path))
+        errors = [entry for entry in err_text.splitlines() if "error:" in entry]
+        assert code == 2 and out == "" and len(errors) == 1
+
 
 class TestCommands:
     def test_hn_fiber_origin_lists_planes(self, capsys):
@@ -133,6 +158,22 @@ class TestCommands:
         res = json.loads(out)["results"]
         assert res["realized_zero"] is True
         assert res["top_symbol_zero"] is False
+
+    def test_fiber_names_never_repeat_a_base_variable(self, capsys, tmp_path):
+        # base variables named like the default fiber coordinates xi1 and eta1
+        path = tmp_path / "clash.preset"
+        path.write_text("name clash\nvars xi1 eta1\n\ngenerators\n  g1 = d/dxi1\n  g2 = d/deta1\n")
+        code, out, _ = run_cli(capsys, "symbol", str(path), "--op", "xi1*g1.g2 + g2.g2")
+        res = json.loads(out)["results"]
+        assert code == 0
+        assert res["top_symbol"] == "xi1*xi_1*xi_2 + xi_2^2"
+        assert res["classical_principal_symbol"] == "xi1*eta_1*eta_2 + eta_2^2"
+        preset = load_preset(str(path))
+        p = preset.presentation
+        element = UEAElement.from_words(parse_operator("xi1*g1.g2 + g2.g2", preset.generator_names, p.vars), p.vars)
+        assert pullback_consistency(element, p).ok
+        names = dual_vars(p)
+        assert names == ("xi1", "eta1", "xi_1", "xi_2") and len(set(names)) == len(names)
 
     def test_elliptic_exit_codes(self, capsys):
         code, out, _ = run_cli(
@@ -381,6 +422,32 @@ class TestCommands:
                 "0fceae2b9f09f592bcac96544c4eca7afe44f3d843d479f9f42f3f47e2674ce8",
                 876,
             ),
+            # top and classical symbol strings with x-dependent coefficients and lower-order words
+            (
+                ("symbol", "so3_r3", "--op", "x*g1.g2+z*g3.g3-g1+y*y*g2.g3.g1", "--degree", "2"),
+                "81c3fec819887438bcd319d1aa1f5f69cb62a6f9af0d80027bb1cb63c031257c",
+                1124,
+            ),
+            # sphere-sampled float minima of a quartic whose coefficient depends on x
+            (
+                (
+                    "elliptic", "so3_r3", "--op", "g1.g1.g1.g1+g2.g2.g2.g2+g3.g3.g3.g3+x*x*g1.g2.g1.g2",
+                    "--points", "1,0,0;1,1,1", "--seed", "3",
+                ),
+                "0efc13751d5e54f3cb19a44ece5c68dd74ce178dd2fc0ed87e9a102659d4bfed",
+                2158,
+            ),
+            # sampled minima that change in the last bits if the float sum of a coefficient's
+            # terms, or of the fiber monomials, runs in another order
+            (
+                (
+                    "elliptic", "so3_r3", "--op",
+                    "(1/10+1/5*x+3/10*x*x)*g1.g1.g1.g1+g2.g2.g2.g2+(2+z)*g3.g3.g3.g3+y*y*g1.g1.g2.g2",
+                    "--points", "1,0,0;1,1,1;0,0,1", "--seed", "2",
+                ),
+                "17c14a91e4b2aa89ddbbefe2f1a0f325ba2ce1aed9ff8118b0abf49e095b14a6",
+                3032,
+            ),
         ],
         ids=[
             "hn-fiber-vanishing_origin_3",
@@ -390,6 +457,9 @@ class TestCommands:
             "hn-fiber-so3_r3-arc-degree-3",
             "hn-fiber-r4_counterexample-origin",
             "poisson-check-so3_r3",
+            "symbol-so3_r3-x-dependent",
+            "elliptic-so3_r3-quartic-x-dependent",
+            "elliptic-so3_r3-quartic-summation-order",
         ],
     )
     def test_golden_reports(self, capsys, argv, sha256, size):
