@@ -19,8 +19,7 @@ the fraction field Q(x) or Q(t) are certified rather than estimated.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .expr import Polynomial, PolyVectorField
@@ -357,22 +356,46 @@ def rational_det(rows: Sequence[Sequence]) -> Fraction:
     return det
 
 
-def maximal_minors(rows: Sequence[Sequence], ncols: int) -> list:
-    """Every k x k minor of a k x ncols matrix, in ``combinations(range(ncols), k)`` order.
+def subset_index(mask: int, n: int) -> int:
+    """Position of the column set ``mask`` (bit c for column c) in
+    ``combinations(range(n), k)`` order, k = the number of its columns.
+
+    Combinatorial number system: the sets that come at or after
+    c_0 < ... < c_{k-1} in lexicographic order number
+    sum_i C(n - 1 - c_i, k - i), so the position is C(n, k) - 1 minus that
+    sum.  Complementing a set in range(n) reverses the order, so the
+    complement of the set at position i is at position C(n, k) - 1 - i.
+    """
+    k = mask.bit_count()
+    index = comb(n, k) - 1
+    while mask:
+        low = mask & -mask
+        index -= comb(n - low.bit_length(), k)
+        k -= 1
+        mask ^= low
+    return index
+
+
+def maximal_minors(rows: Sequence[Sequence], ncols: int) -> dict:
+    """The nonzero k x k minors of a k x ncols matrix, keyed by the position
+    of their column set in ``combinations(range(ncols), k)`` order; every
+    position left out is a zero minor.
 
     Laplace expansion along one row at a time: the minors of the first j + 1
     rows on a column set S are sums of entries of row j times the minors of
     the first j rows on S minus one column, so each smaller minor is computed
-    once and shared by every larger one that contains it.  Zero entries and
-    zero sub-minors are skipped and nothing is divided, so the entries may
-    come from any commutative ring with ``+``, ``-`` and ``*`` (ints,
-    Fractions, Polynomials).  The single minor of a matrix with no rows is 1.
+    once and shared by every larger one that contains it.  Column sets are
+    bitmasks, placed by ``subset_index`` only at the end.  Zero entries and
+    zero sub-minors are dropped, so the work follows the nonzero minors and
+    no loop runs over all C(ncols, k) column sets.  Nothing is divided, so
+    the entries may come from any commutative ring with ``+``, ``-`` and
+    ``*`` (ints, Fractions, Polynomials).  The single minor of a matrix with
+    no rows is 1; a matrix with more rows than columns has none.
     """
     if not rows:
-        return [1]
+        return {0: 1}
     if len(rows) > ncols:
-        return []
-    # column set -> minor of the rows so far, keyed by a bitmask of columns
+        return {}
     minors = {1 << c: x for c, x in enumerate(rows[0]) if x}
     for j, row in enumerate(rows[1:], 1):
         entries = [(1 << c, x) for c, x in enumerate(row) if x]
@@ -389,11 +412,7 @@ def maximal_minors(rows: Sequence[Sequence], ncols: int) -> list:
                 prev = grown.get(key)
                 grown[key] = term if prev is None else prev + term
         minors = {mask: m for mask, m in grown.items() if m}
-    zero = rows[0][0] - rows[0][0]
-    return [
-        minors.get(sum(1 << c for c in cols), zero)
-        for cols in combinations(range(ncols), len(rows))
-    ]
+    return {subset_index(mask, ncols): m for mask, m in minors.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@
 A ``Subspace`` is stored by its reduced-echelon basis, which is a complete
 invariant; the normalized Pluecker vector (primitive integers, first nonzero
 entry positive) is computed lazily from it and is the second complete
-invariant used in reports.  All C(N,k)
-coordinates come from one shared-minor pass (``algebra.maximal_minors``) over
-the basis rows scaled to primitive integers; when 2k > N the pass runs on the
-annihilator, whose N - k rows read off the echelon basis, and the
-coordinates follow from p_S(V) = ±p_{S^c}(V°).
+invariant used in reports.  Only its nonzero coordinates are computed, by
+one shared-minor pass (``algebra.maximal_minors``) over the basis rows scaled
+to primitive integers; each minor is keyed by its column subset's position
+in lexicographic order, found from the subset's bitmask by the combinatorial
+number system, and every other coordinate is 0.  When 2k > N the pass runs
+on the annihilator, whose N - k rows read off the echelon basis: p_S(V) =
+±p_{S^c}(V°), and the complement of the subset at position i is at position
+C(N,k) - 1 - i.
 
 Limits of kernels along polynomial arcs t -> x(t) are computed exactly by
 saturating the arc's row lattice at t = 0: the pivot rows R(t) of M(x(t))
@@ -155,36 +158,49 @@ def plucker_of_basis(basis: Sequence[Sequence[Fraction]], ambient_dim: int) -> t
 
     Coordinates follow the lexicographic column subsets; all vanish when the
     rows are dependent.  Each row is scaled to primitive integers
-    (``algebra.primitive``) and every minor comes from one shared-minor pass
-    (``algebra.maximal_minors``); a row scale of either sign multiplies all
+    (``algebra.primitive``); one shared-minor pass (``algebra.maximal_minors``)
+    yields only the nonzero minors, each keyed by its subset's position, and
+    every other coordinate is 0.  A row scale of either sign multiplies all
     minors by one scalar.
     When 2k > N the pass runs on the smaller annihilator V° instead, whose
     standard basis reads off the reduced echelon form of the rows, and
-    p_S(V) = eps(S) p_{S^c}(V°) with eps(S) = (-1)^(sum(S) - k(k-1)/2), up to
-    one nonzero scalar.  ``normalize_plucker`` removes that scalar.
+    p_S(V) = eps(S) p_{S^c}(V°) with eps(S) = (-1)^(sum(S) - k(k-1)/2).
+    Since sum(S) = N(N-1)/2 - sum(S^c), eps(S) is the product of (-1)^c over
+    the columns c of S^c, up to one sign for all S; negating the odd columns
+    of V°'s rows puts that factor into every minor.  The minor of V° at
+    position i then goes to position C(N, k) - 1 - i, because complementing
+    the subsets reverses their order.  ``normalize_plucker`` removes the
+    overall scalar.
     """
     k = len(basis)
+    vec = [0] * comb(ambient_dim, k)
     if 2 * k <= ambient_dim:
-        return tuple(algebra.maximal_minors([algebra.primitive(r) for r in basis], ambient_dim))
-    pivots = algebra.pivot_rows(basis)
-    if len(pivots) < k:
-        return (0,) * comb(ambient_dim, k)
-    dual = [algebra.primitive(v) for v in algebra.kernel_vectors(pivots, ambient_dim, range(ambient_dim))]
-    # complementing the subsets reverses their lexicographic order
-    dual_minors = reversed(algebra.maximal_minors(dual, ambient_dim))
-    shift = k * (k - 1) // 2
-    return tuple(
-        -q if (sum(cols) - shift) & 1 else q
-        for cols, q in zip(combinations(range(ambient_dim), k), dual_minors)
-    )
+        minors = algebra.maximal_minors([algebra.primitive(r) for r in basis], ambient_dim)
+    else:
+        pivots = algebra.pivot_rows(basis)
+        if len(pivots) < k:
+            return tuple(vec)
+        dual = [
+            [-x if c & 1 else x for c, x in enumerate(algebra.primitive(v))]
+            for v in algebra.kernel_vectors(pivots, ambient_dim, range(ambient_dim))
+        ]
+        last = len(vec) - 1
+        minors = {last - i: q for i, q in algebra.maximal_minors(dual, ambient_dim).items()}
+    for i, q in minors.items():
+        vec[i] = q
+    return tuple(vec)
 
 
 def normalize_plucker(vec: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale to primitive integers with the first nonzero entry positive."""
-    ints = tuple(algebra.primitive(vec))
-    if not any(ints):
+    """Scale to primitive integers with the first nonzero entry positive;
+    the gcd and the sign are taken over the nonzero entries only."""
+    support = [i for i, x in enumerate(vec) if x]
+    if not support:
         raise ZeroPluckerLimit("all Pluecker coordinates vanish")
-    return ints
+    ints = [0] * len(vec)
+    for i, n in zip(support, algebra.primitive([vec[i] for i in support])):
+        ints[i] = n
+    return tuple(ints)
 
 
 def reconstruct_from_plucker(vec: Sequence[Fraction], ambient_dim: int, k: int) -> Subspace:

@@ -15,7 +15,8 @@ Format (``#`` starts a comment; blank lines separate nothing):
     operators                            (optional)
       <opname> = <operator expression>
 
-Variable and generator names must all differ.  Structure lines fix c_ij;
+Variable, generator and operator names must all differ.  Structure lines
+fix c_ij, each pair of distinct generators at most once (in either order);
 unspecified pairs default to the zero bracket, and the whole array is
 validated exactly against the generator brackets.
 Builtin presets: debord_line, so3_r3, vanishing_origin_2, vanishing_origin_3,
@@ -133,9 +134,16 @@ def parse_preset_text(text: str, source: str = "<string>") -> Preset:
         zero_vec = tuple(zero for _ in range(n))
         c = [[zero_vec for _ in range(n)] for _ in range(n)]
         index = {g: i for i, g in enumerate(gen_names)}
+        given: dict[frozenset[str], int] = {}  # pair -> line
         for gi, gj, expr, lineno in structure_lines:
             if gi not in index or gj not in index:
                 raise PresetError(f"unknown generator in bracket [{gi},{gj}]", lineno)
+            if gi == gj:
+                raise PresetError(f"self-bracket [{gi},{gj}] is always zero and cannot be set", lineno)
+            pair = frozenset((gi, gj))
+            if pair in given:
+                raise PresetError(f"bracket [{gi},{gj}] repeats the pair of line {given[pair]}", lineno)
+            given[pair] = lineno
             try:
                 words = parse_operator(expr, gen_names, vars_)
             except ParseError as exc:
@@ -159,6 +167,12 @@ def parse_preset_text(text: str, source: str = "<string>") -> Preset:
 
     operators: dict[str, list[OperatorWord]] = {}
     for oname, expr, lineno in operator_lines:
+        if oname in gen_names:
+            raise PresetError(f"operator {oname!r} has the name of a generator", lineno)
+        if oname in vars_:
+            raise PresetError(f"operator {oname!r} has the name of a variable", lineno)
+        if oname in operators:
+            raise PresetError(f"duplicate operator name {oname!r}", lineno)
         try:
             operators[oname] = parse_operator(expr, gen_names, vars_)
         except ParseError as exc:

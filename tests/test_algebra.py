@@ -230,18 +230,41 @@ def matrices(draw, entry, min_rows=0, max_cols=6):
     return rows, ncols
 
 
+def dense_minors(rows, ncols, zero):
+    """``maximal_minors`` as one entry per column subset, ``zero`` where it keys none."""
+    minors = algebra.maximal_minors(rows, ncols)
+    assert all(minors.values()), "only nonzero minors are returned"
+    size = math.comb(ncols, len(rows)) if len(rows) <= ncols else 0
+    assert all(0 <= i < size for i in minors)
+    return [minors.get(i, zero) for i in range(size)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(matrices(rational_entry))
 def test_maximal_minors_match_rational_det(case):
     rows, ncols = case
-    assert algebra.maximal_minors(rows, ncols) == minors_oracle(rows, ncols, algebra.rational_det)
+    dense = dense_minors(rows, ncols, Fraction(0))
+    assert dense == minors_oracle(rows, ncols, algebra.rational_det)
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrices(t_poly, min_rows=1, max_cols=5))
 def test_maximal_minors_match_bareiss_det(case):
     rows, ncols = case
-    assert algebra.maximal_minors(rows, ncols) == minors_oracle(rows, ncols, algebra.bareiss_det)
+    dense = dense_minors(rows, ncols, Polynomial.zero(T))
+    assert dense == minors_oracle(rows, ncols, algebra.bareiss_det)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_subset_index_is_the_combinations_order(n):
+    full = (1 << n) - 1
+    for k in range(n + 1):
+        subsets = list(combinations(range(n), k))
+        for position, cols in enumerate(subsets):
+            mask = sum(1 << c for c in cols)
+            assert algebra.subset_index(mask, n) == position
+            # complementing a subset reverses the lexicographic order
+            assert algebra.subset_index(full ^ mask, n) == len(subsets) - 1 - position
 
 
 class TestKernelOverCurve:

@@ -89,8 +89,20 @@ class TestPresets:
             ("name shadow\nvars x y\n\ngenerators\n  x = d/dx\n  g2 = d/dy\n\noperators\n  p = x*g2\n", 5),
             # the error names the repeated generator's line, not the first one's
             ("name twice\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = d/dy\n  g1 = x*d/dy\n", 7),
+            # operator g1 would shadow generator g1 for --op
+            ("name opgen\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = d/dy\n\noperators\n  g1 = g2.g2\n", 9),
+            ("name opvar\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = d/dy\n\noperators\n  x = g1.g1\n", 9),
+            # the second definition would silently replace the first
+            ("name optwice\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = d/dy\n\noperators\n  p = g1\n  p = g2\n", 10),
         ],
-        ids=["variable-twice", "generator-named-like-variable", "generator-twice"],
+        ids=[
+            "variable-twice",
+            "generator-named-like-variable",
+            "generator-twice",
+            "operator-named-like-generator",
+            "operator-named-like-variable",
+            "operator-twice",
+        ],
     )
     def test_repeated_names_rejected(self, capsys, tmp_path, text, line):
         path = tmp_path / "bad.preset"
@@ -101,6 +113,29 @@ class TestPresets:
         code, out, err_text = run_cli(capsys, "analyze", str(path))
         errors = [entry for entry in err_text.splitlines() if "error:" in entry]
         assert code == 2 and out == "" and len(errors) == 1
+
+
+    @pytest.mark.parametrize(
+        "brackets, line",
+        [
+            # the later line would overwrite c_12 and c_21 set by the earlier one
+            ("  [g1, g2] = g1\n  [g2, g1] = g2\n", 9),
+            ("  [g1, g2] = g1\n  [g1, g2] = g1\n", 9),
+            # c_11 is zero by antisymmetry; setting it would store -vec
+            ("  [g1, g1] = g1\n", 8),
+        ],
+        ids=["pair-twice-reversed", "pair-twice", "self-bracket"],
+    )
+    def test_bad_bracket_lines_rejected(self, capsys, tmp_path, brackets, line):
+        path = tmp_path / "bad.preset"
+        path.write_text("name br\nvars x\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dx\nstructure\n" + brackets)
+        with pytest.raises(PresetError) as err:
+            load_preset(str(path))
+        assert err.value.line == line
+        code, out, err_text = run_cli(capsys, "analyze", str(path))
+        errors = [entry for entry in err_text.splitlines() if "error:" in entry]
+        assert code == 2 and out == "" and len(errors) == 1
+        assert f"(line {line}," in errors[0]
 
 
 class TestCommands:

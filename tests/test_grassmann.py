@@ -162,6 +162,28 @@ class TestPluckerOfBasis:
         assert s.dim == 7
         assert s.plucker == plucker_oracle(s.basis, 10) == plucker_oracle(rows, 10)
 
+    def test_sparse_r4_shaped_limits(self):
+        # hn-fiber r4 at the origin: Pluecker vectors of length C(16, 4) = 1820
+        # with 1 or 16 nonzero coordinates
+        def unit(c):
+            return [Fraction(int(i == c)) for i in range(16)]
+
+        # row a: the diagonal entry of block a plus a multiple of the next one;
+        # rows of disjoint support, so 2^4 nonzero minors
+        small = make_subspace(
+            [[a + b for a, b in zip(unit(5 * a), [(a + 1) * x for x in unit(4 * a + (a + 1) % 4)])] for a in range(4)], 16
+        )
+        # every unit vector but four, mixed so that the rows are not echelon
+        units = [unit(c) for c in range(16) if c not in (0, 5, 10, 15)]
+        mixed = [[x + 2 * y for x, y in zip(u, units[(i + 1) % 12])] for i, u in enumerate(units)]
+        big = make_subspace(mixed, 16)
+        assert (small.dim, big.dim) == (4, 12)
+        for space, nonzero in ((small, 16), (big, 1), (annihilator(small), 16)):
+            p = space.plucker
+            assert len(p) == math.comb(16, 4)
+            assert sum(1 for x in p if x) == nonzero
+            assert p == plucker_oracle(space.basis, 16)
+
 
 class TestReduce:
     @settings(max_examples=150, deadline=None)
@@ -306,6 +328,13 @@ class TestLimits:
                 assert dual.contains_vector([lam * x for x in xi])
 
 
+def dense_minors(rows, n):
+    """``maximal_minors`` of polynomial rows, one entry per column subset, zero where it keys none."""
+    minors = algebra.maximal_minors(rows, n)
+    zero = Polynomial.zero(rows[0][0].vars)
+    return [minors.get(i, zero) for i in range(math.comb(n, len(rows)))]
+
+
 def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
     """The Pluecker route to lim ker M(x(t)): a polynomial basis of one side
     over Q(t) (the Cramer kernel, or the content-free Bareiss echelon rows),
@@ -329,7 +358,7 @@ def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
     if not rows:
         space = Subspace(n, ())
     else:
-        minors = algebra.maximal_minors(rows, n)
+        minors = dense_minors(rows, n)
         low = min(min(e[0] for e in q.terms) for q in minors if q)
         space = reconstruct_from_plucker(normalize_plucker([q.coefficient((low,)) for q in minors]), n, len(rows))
     return space if side == "kernel" else annihilator(space)
@@ -341,7 +370,7 @@ def row_side_valuation(m, curve, vars):
     rows = [m_t[i] for i in algebra.bareiss_echelon(m_t)[2]]
     if not rows:
         return 0
-    return min(min(e[0] for e in q.terms) for q in algebra.maximal_minors(rows, len(m_t[0])) if q)
+    return min(min(e[0] for e in q.terms) for q in algebra.maximal_minors(rows, len(m_t[0])).values())
 
 
 # sparse entries over Q[x, y] of degree <= 2, mostly without constant term,
