@@ -114,7 +114,6 @@ class TestPresets:
         errors = [entry for entry in err_text.splitlines() if "error:" in entry]
         assert code == 2 and out == "" and len(errors) == 1
 
-
     @pytest.mark.parametrize(
         "brackets, line",
         [

@@ -165,18 +165,15 @@ class TestPluckerOfBasis:
     def test_sparse_r4_shaped_limits(self):
         # hn-fiber r4 at the origin: Pluecker vectors of length C(16, 4) = 1820
         # with 1 or 16 nonzero coordinates
-        def unit(c):
-            return [Fraction(int(i == c)) for i in range(16)]
+        def vec(entries):
+            return [Fraction(entries.get(c, 0)) for c in range(16)]
 
         # row a: the diagonal entry of block a plus a multiple of the next one;
         # rows of disjoint support, so 2^4 nonzero minors
-        small = make_subspace(
-            [[a + b for a, b in zip(unit(5 * a), [(a + 1) * x for x in unit(4 * a + (a + 1) % 4)])] for a in range(4)], 16
-        )
+        small = make_subspace([vec({5 * a: 1, 4 * a + (a + 1) % 4: a + 1}) for a in range(4)], 16)
         # every unit vector but four, mixed so that the rows are not echelon
-        units = [unit(c) for c in range(16) if c not in (0, 5, 10, 15)]
-        mixed = [[x + 2 * y for x, y in zip(u, units[(i + 1) % 12])] for i, u in enumerate(units)]
-        big = make_subspace(mixed, 16)
+        kept = [c for c in range(16) if c % 5]
+        big = make_subspace([vec({c: 1, d: 2}) for c, d in zip(kept, kept[1:] + kept[:1])], 16)
         assert (small.dim, big.dim) == (4, 12)
         for space, nonzero in ((small, 16), (big, 1), (annihilator(small), 16)):
             p = space.plucker
