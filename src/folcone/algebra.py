@@ -118,16 +118,31 @@ def echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, IntRow]:
     """
     pivots: dict[int, IntRow] = {}
     for row in rows:
-        r = {c: v for c, v in row.items() if v}
-        r = dict(zip(r, primitive(r.values())))
-        while r:
-            c = min(r)
-            q = pivots.get(c)
-            if q is None:
-                pivots[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
-                break
-            r = _eliminate(r, q, c)
+        _insert(pivots, row)
     return pivots
+
+
+def _insert(pivots: dict[int, IntRow], row: Mapping[int, int | Fraction]) -> bool:
+    """Reduce one row against ``pivots`` and add it under its new lead;
+    False when it reduces to zero, that is, it lies in their span."""
+    r = {c: v for c, v in row.items() if v}
+    r = dict(zip(r, primitive(r.values())))
+    while r:
+        c = min(r)
+        q = pivots.get(c)
+        if q is None:
+            pivots[c] = r if r[c] > 0 else {k: -v for k, v in r.items()}
+            return True
+        r = _eliminate(r, q, c)
+    return False
+
+
+def independent_rows(rows: Iterable[Sequence]) -> list[int]:
+    """Indices of the dense rows that are independent of all rows before
+    them, found by the same elimination as ``echelon``: a basis of the row
+    space, taken greedily in row order."""
+    pivots: dict[int, IntRow] = {}
+    return [i for i, row in enumerate(rows) if _insert(pivots, {c: x for c, x in enumerate(row) if x})]
 
 
 def sparse_rref(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, SparseRow]:
@@ -243,10 +258,6 @@ def solve_linear(rows: Sequence[Sequence], b: Sequence) -> Vec | None:
 
 def eval_poly_matrix(m: PolyMatrix, point: Sequence) -> Matrix:
     return [[entry.eval(point) for entry in row] for row in m]
-
-
-def subs_poly_matrix(m: PolyMatrix, mapping: Mapping[str, Polynomial]) -> PolyMatrix:
-    return [[entry.subs(mapping) for entry in row] for row in m]
 
 
 def _poly_zero_like(m: PolyMatrix) -> Polynomial:

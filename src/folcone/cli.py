@@ -163,7 +163,12 @@ def cmd_analyze(args) -> tuple[Fields, int]:
     p = preset.presentation
     r = p.generic_rank()
     bound = args.degree_bound if args.degree_bound is not None else default_strong_kernel_bound(p)
-    points = args.points or _default_points(p.dim)
+    if args.points is None:
+        points = _default_points(p.dim)
+    elif not args.points:
+        raise argparse.ArgumentTypeError("--points must name at least one point")
+    else:
+        points = args.points
     _check_points(preset, points)
     structure_bound = _structure_bound(p)
     results: dict[str, Any] = {
@@ -498,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     csv_dir = argparse.ArgumentParser(add_help=False)
     csv_dir.add_argument("--csv", help="directory for CSV emission of fibers/trajectories")
     curves = argparse.ArgumentParser(add_help=False)
-    curves.add_argument("--curves", type=int, default=None,
+    curves.add_argument("--curves", type=_int_at_least(1), default=None,
                         help="number of ray directions (default: 3n deterministic directions)")
     curves.add_argument("--arc-degree", dest="arc_degree", type=_int_at_least(1), default=2,
                         help="maximum arc degree in the curve family")

@@ -13,8 +13,13 @@ on the annihilator, whose N - k rows read off the echelon basis: p_S(V) =
 C(N,k) - 1 - i.
 
 Limits of kernels along polynomial arcs t -> x(t) are computed exactly by
-saturating the arc's row lattice at t = 0: the pivot rows R(t) of M(x(t))
-span its row space over Q(t), and while R(0) is rank-deficient a constant
+saturating the arc's row lattice at t = 0.  M(x(t)) is built as integer rows
+of t-coefficient lists, with no polynomial objects.  Its first rows R(t)
+that are independent over Q(t) come from one exact evaluation at
+t0 = B + 1, B the product over the rows of max(1, the sum of the absolute
+values of the row's coefficients): B bounds the coefficient sum of every
+minor, so by Cauchy's root bound no nonzero minor vanishes at t0, and ranks
+at t0 are ranks over Q(t).  While R(0) is rank-deficient a primitive integer
 left-kernel vector c of R(0) replaces one row by (c^T R(t))/t.  This is a
 Hermite form over the local ring Q[t]_(t); the last R(0) spans the limit row
 space and the limit kernel is ker R(0).  No Pluecker vector over Q[t] is
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -328,12 +333,21 @@ def limit_along_curve_detailed(
 ) -> LimitDetail:
     """Exact limit of ker M(x(t)) as t -> 0, by saturating the row lattice at t = 0.
 
-    R(t) are the rows of M(x(t)) at the Bareiss pivots, a Q[t]-basis of its
-    row space over Q(t).  While R(0) is rank-deficient, a left-kernel vector
-    c of R(0) makes c^T R(t) divisible by t, and (c^T R(t))/t replaces a row
-    j with c_j != 0.  Each step lowers the t-valuation of the maximal minors
-    of R(t) by one, so the loop ends, with R(0) spanning the limit row space;
-    the limit is ker R(0).
+    M(x(t)) is formed as integer rows of t-coefficient lists (``_integer_rows``).
+    Its rank over Q(t), and its first rows in row order that are independent
+    over Q(t), come from one exact evaluation at t0 = B + 1, where B is the
+    product over the rows of max(1, the sum of the absolute values of the
+    row's coefficients).  Every minor of any set of rows is an integer
+    polynomial whose coefficients' absolute values sum to at most B, so by
+    Cauchy's bound none that is nonzero vanishes at t0: ranks at t0 are ranks
+    over Q(t), for the whole matrix and for every prefix of its rows.
+
+    Those rows R(t) are a basis of the row space over Q(t).  While R(0) is
+    rank-deficient, a primitive integer left-kernel vector c of R(0) makes
+    c^T R(t) divisible by t, and (c^T R(t))/t replaces a row j with c_j != 0.
+    Each step lowers the t-valuation of the maximal minors of R(t) by one, so
+    the loop ends, with R(0) spanning the limit row space; the limit is
+    ker R(0), the one step on Fractions.
 
     The curve must be generically regular: the kernel of M(x(t)) over Q(t)
     must have dimension exactly ``expected_dim``; otherwise CurveNotGeneric.
@@ -342,13 +356,14 @@ def limit_along_curve_detailed(
         if not m or not m[0]:
             raise ValueError("cannot infer variables from an empty matrix")
         vars = m[0][0].vars
-    m_t = algebra.subs_poly_matrix(m, curve.substitution(vars))
-    n_cols = len(m_t[0]) if m_t else 0
+    rows = _integer_rows(m, curve, vars)
+    n_cols = len(m[0]) if m else 0
     needed_rank = n_cols - expected_dim
     if needed_rank < 0:
         raise CurveNotGeneric(f"expected_dim {expected_dim} exceeds ambient {n_cols}")
-    _, pivot_cols, pivot_rows = algebra.bareiss_echelon(m_t)
-    rank = len(pivot_cols)
+    bound = prod(max(1, sum(abs(a) for entry in row for a in entry)) for row in rows)
+    chosen = algebra.independent_rows([_horner(entry, bound + 1) for entry in row] for row in rows)
+    rank = len(chosen)
     if rank != needed_rank:
         if expected_dim <= needed_rank:
             reason = f"kernel over Q(t) has dimension {n_cols - rank}, expected {expected_dim}"
@@ -356,26 +371,103 @@ def limit_along_curve_detailed(
             reason = f"rank over Q(t) is {rank}, expected {needed_rank}"
         raise CurveNotGeneric(f"{reason} ({curve.label})")
 
-    # R(t) = sum_d t^d R_d, kept as its coefficient matrices R_d
-    depth = 1 + max((e[0] for i in pivot_rows for q in m_t[i] for e in q.terms), default=0)
-    coeffs = [[[q.coefficient((d,)) for q in m_t[i]] for i in pivot_rows] for d in range(depth)]
+    # R(t) = sum_d t^d R_d, kept as its integer coefficient matrices R_d
+    depth = max((len(entry) for i in chosen for entry in rows[i]), default=1)
+    coeffs = [
+        [[entry[d] if d < len(entry) else 0 for entry in rows[i]] for i in chosen] for d in range(depth)
+    ]
     steps = 0
     while True:
-        pivots = algebra.pivot_rows(algebra.transpose(coeffs[0]))
-        if len(pivots) == rank:
+        # R(0) with the identity appended: an echelon row led by an appended
+        # column is zero on R(0), so its appended part is a primitive c
+        pivots = algebra.echelon(
+            {**{col: x for col, x in enumerate(row) if x}, n_cols + i: 1} for i, row in enumerate(coeffs[0])
+        )
+        lead = max(pivots, default=-1)
+        if lead < n_cols:
             break
-        c = algebra.kernel_vectors(pivots, rank, range(rank))[0]
-        terms = [(i, x) for i, x in enumerate(c) if x]
-        j = terms[0][0]
+        terms = [(col - n_cols, x) for col, x in pivots[lead].items()]
+        j = lead - n_cols
         # c^T R(t) vanishes at t = 0; its coefficients of t, t^2, ... become row j
-        shifted = [
-            tuple(sum((x * r_d[i][col] for i, x in terms), Fraction(0)) for col in range(n_cols))
-            for r_d in coeffs[1:]
-        ]
-        for r_d, row in zip(coeffs, shifted + [(Fraction(0),) * n_cols]):
+        shifted = [[sum(x * r_d[i][col] for i, x in terms) for col in range(n_cols)] for r_d in coeffs[1:]]
+        for r_d, row in zip(coeffs, shifted + [[0] * n_cols]):
             r_d[j] = row
         steps += 1
     return LimitDetail(Subspace(n_cols, tuple(algebra.kernel_basis(coeffs[0], ncols=n_cols))), steps)
+
+
+def _integer_rows(m: PolyMatrix, curve: Curve, vars: Sequence[str]) -> list[list[list[int]]]:
+    """M(x(t)) with entry (i, j) the list of its t-coefficients, lowest power
+    first, and each row scaled by one positive integer to clear denominators.
+
+    The curve's components map to ``vars`` by name (``Curve.substitution``),
+    and each entry's variables are looked up there, as ``Polynomial.subs``
+    does.  Each power of a component and each monomial's image is computed
+    once, as integer coefficients over one denominator.
+    """
+    powers: dict[str, list[tuple[list[int], int]]] = {}
+    for v, comp in curve.substitution(vars).items():
+        coeffs = [comp.coefficient((e,)) for e in range(comp.total_degree() + 1)]
+        den = lcm(*[a.denominator for a in coeffs])
+        powers[v] = [([1], 1), ([a.numerator * (den // a.denominator) for a in coeffs], den)]
+    monomials: dict[tuple[tuple[str, ...], tuple[int, ...]], tuple[list[int], int]] = {}
+
+    def image(names: tuple[str, ...], exp: tuple[int, ...]) -> tuple[list[int], int]:
+        key = (names, exp)
+        if key not in monomials:
+            ints, den = [1], 1
+            for v, e in zip(names, exp):
+                if not e:
+                    continue
+                table = powers[v]
+                while len(table) <= e:
+                    table.append((_mul(table[-1][0], table[1][0]), table[-1][1] * table[1][1]))
+                ints, den = _mul(ints, table[e][0]), den * table[e][1]
+            monomials[key] = (ints, den)
+        return monomials[key]
+
+    rows = []
+    for poly_row in m:
+        for names in {q.vars for q in poly_row}:
+            missing = [v for v in names if v not in powers]
+            if missing:
+                raise ValueError(f"substitution misses variables {missing}")
+        terms_row = [
+            [(a.numerator, a.denominator, *image(q.vars, exp)) for exp, a in q.terms.items()] for q in poly_row
+        ]
+        scale = lcm(*[den * img_den for terms in terms_row for _, den, _, img_den in terms])
+        row = []
+        for terms in terms_row:
+            entry = [0] * max((len(ints) for _, _, ints, _ in terms), default=0)
+            for num, den, ints, img_den in terms:
+                f = num * (scale // (den * img_den))
+                for d, b in enumerate(ints):
+                    entry[d] += f * b
+            while entry and not entry[-1]:
+                entry.pop()
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def _mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two coefficient lists, lowest power first."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _horner(entry: Sequence[int], t: int) -> int:
+    """Value at t of a coefficient list, lowest power first."""
+    value = 0
+    for a in reversed(entry):
+        value = value * t + a
+    return value
 
 
 def limit_along_curve(

@@ -280,14 +280,14 @@ class TestKernelOverCurve:
 
     def test_so3_along_axis_ray(self):
         mapping = {"x": tpoly("t"), "y": tpoly("0"), "z": tpoly("0")}
-        m_t = algebra.subs_poly_matrix(so3_anchor(), mapping)
+        m_t = [[e.subs(mapping) for e in row] for row in so3_anchor()]
         basis = algebra.kernel_basis_over_curve(m_t)
         assert basis == [(tpoly("1"), tpoly("0"), tpoly("0"))]
 
     def test_pointwise_span_property(self):
         # kernel vectors evaluated at 20 random t != 0 span the pointwise kernel
         mapping = {"x": tpoly("t"), "y": tpoly("t^2"), "z": tpoly("1 + t")}
-        m_t = algebra.subs_poly_matrix(so3_anchor(), mapping)
+        m_t = [[e.subs(mapping) for e in row] for row in so3_anchor()]
         basis = algebra.kernel_basis_over_curve(m_t)
         rng = random.Random(13)
         for _ in range(20):

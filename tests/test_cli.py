@@ -298,6 +298,10 @@ class TestCommands:
             ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,2"),
             ("elliptic", "so3_r3", "--op", "0-g1.g1-g2.g2-g3.g3", "--points", ";"),
             ("nash-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", "0"),
+            ("analyze", "so3_r3", "--points", ""),
+            ("analyze", "so3_r3", "--points", ";"),
+            ("hn-fiber", "so3_r3", "--point", "0,0,0", "--curves", "-3"),
+            ("nash-fiber", "so3_r3", "--point", "0,0,0", "--curves", "0"),
             ("analyze", "so3_r3", "--degree-bound", "-1"),
             ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0;steps=0"),
             ("poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0;steps=x"),

@@ -102,6 +102,9 @@ def test_every_command_line_reports_or_exits_two(argv):
         assert code == 2
     if "--seed" in argv and argv[argv.index("--seed") + 1].startswith("-"):
         assert code == 2
+    curves = argv[argv.index("--curves") + 1] if "--curves" in argv else ""
+    if curves.lstrip("-").isdigit() and int(curves) < 1:
+        assert code == 2
     if code == 2:
         assert out.getvalue() == ""
         assert len([line for line in err.getvalue().splitlines() if "error:" in line]) == 1

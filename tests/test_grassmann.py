@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from folcone import algebra
 from folcone.acceptance import float_limit_angles
-from folcone.expr import Polynomial, parse_vector_field
+from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
 from folcone.grassmann import (
     Curve,
     CurveNotGeneric,
@@ -332,6 +332,10 @@ def dense_minors(rows, n):
     return [minors.get(i, zero) for i in range(math.comb(n, len(rows)))]
 
 
+def subs_poly_matrix(m, mapping):
+    return [[entry.subs(mapping) for entry in row] for row in m]
+
+
 def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
     """The Pluecker route to lim ker M(x(t)): a polynomial basis of one side
     over Q(t) (the Cramer kernel, or the content-free Bareiss echelon rows),
@@ -339,7 +343,7 @@ def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
     of the lowest power of t, and the subspace rebuilt from it.  Raises
     CurveNotGeneric with the engine's wording when the kernel over Q(t) has
     the wrong dimension."""
-    m_t = algebra.subs_poly_matrix(m, curve.substitution(vars))
+    m_t = subs_poly_matrix(m, curve.substitution(vars))
     n = len(m_t[0])
     kernel = algebra.kernel_basis_over_curve(m_t)
     if len(kernel) != expected_dim:
@@ -362,9 +366,12 @@ def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
 
 
 def row_side_valuation(m, curve, vars):
-    """Lowest power of t among the maximal minors of the Bareiss pivot rows of M(x(t))."""
-    m_t = algebra.subs_poly_matrix(m, curve.substitution(vars))
-    rows = [m_t[i] for i in algebra.bareiss_echelon(m_t)[2]]
+    """Lowest power of t among the maximal minors of the first rows of M(x(t))
+    that are independent over Q(t), taken in row order: row i is taken when
+    it raises the rank over Q(t) of the rows up to it."""
+    m_t = subs_poly_matrix(m, curve.substitution(vars))
+    ranks = [algebra.generic_rank(m_t[:i]) for i in range(len(m_t) + 1)]
+    rows = [row for i, row in enumerate(m_t) if ranks[i + 1] > ranks[i]]
     if not rows:
         return 0
     return min(min(e[0] for e in q.terms) for q in algebra.maximal_minors(rows, len(m_t[0])).values())
@@ -420,11 +427,43 @@ class TestSaturationEngine:
         assert detail.valuation == row_side_valuation(m, curve, XY)
 
     def test_saturation_steps_on_a_singular_fiber(self):
-        # so3 at the origin along the arc t e_1 + t^2 e_2: R(t) has t-valuation 2
+        # so3 at the origin along the arc t e_1 + t^2 e_2: M(x(t)) has rows
+        # (0, 0, t^2), (0, 0, -t), (-t^2, t, 0); the first two independent ones,
+        # (0, 0, t^2) and (-t^2, t, 0), have maximal minors 0, t^4 and -t^3,
+        # so R(t) has t-valuation 3
         curve = Curve.arc((0, 0, 0), (1, 0, 0), (0, 1, 0))
         detail = limit_along_curve_detailed(so3_anchor(), curve, 1, XYZ)
-        assert detail.valuation == row_side_valuation(so3_anchor(), curve, XYZ) == 2
+        assert detail.valuation == row_side_valuation(so3_anchor(), curve, XYZ) == 3
         assert detail.limit.basis == ((Fraction(1), 0, 0),)
+
+    def test_rank_is_certified_where_small_points_fail(self):
+        # rows (1, x, 0)/100 and (x, x^2, x(x - 1)(x - 2)(x - 3))/100: rank 2
+        # over Q(t) on the ray x = t, but every 2 x 2 minor vanishes at
+        # t = 1, 2 and 3, and the rows' coefficients sum to less than 1 until
+        # the rows are cleared to integers
+        x = ("x",)
+        q = parse_polynomial("x*(x - 1)*(x - 2)*(x - 3)", x)
+        m = [
+            [parse_polynomial(text, x) * Fraction(1, 100) for text in ("1", "x", "0")],
+            [p * Fraction(1, 100) for p in (parse_polynomial("x", x), parse_polynomial("x^2", x), q)],
+        ]
+        curve = Curve.ray((0,), (1,))
+        for t0 in (1, 2, 3):
+            assert algebra.rank(algebra.eval_poly_matrix(m, (t0,))) == 1
+        detail = limit_along_curve_detailed(m, curve, 1, x)
+        assert detail.limit == pluecker_route_limit(m, curve, 1, x)
+        assert detail.valuation == row_side_valuation(m, curve, x) == 1
+        with pytest.raises(CurveNotGeneric, match="rank over Q\\(t\\) is 2, expected 1"):
+            limit_along_curve_detailed(m, curve, 2, x)
+
+    def test_components_map_to_variables_by_name(self):
+        # the curve's components follow ``vars``, not the entries' own
+        # variable order: here y(t) = t and x(t) = t^2
+        curve = Curve.arc((0, 0), (1, 0), (0, 1))
+        yx = ("y", "x")
+        detail = limit_along_curve_detailed(order2_anchor(), curve, 4, yx)
+        assert detail.limit == pluecker_route_limit(order2_anchor(), curve, 4, yx)
+        assert detail.limit != limit_along_curve(order2_anchor(), curve, 4, XY)
 
 
 class TestDistance:
