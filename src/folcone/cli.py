@@ -8,12 +8,15 @@ fields it owns (``parameters`` and ``results``, plus ``bounds`` for
 ``command``, ``seed`` and ``timing_seconds`` and writes the JSON to stdout or
 to ``--out``.  Every refused input, whether argparse rejects it or a command
 raises, ends as one ``error:`` line on stderr and exit 2, with nothing on
-stdout.
+stdout; so does an ``--out`` or ``--csv`` path that cannot be written.
 
 All randomness is seeded (``--seed``, default 0) and reports are emitted as
 deterministic JSON (sorted keys, no timing unless ``--timing`` is passed), so
-identical invocations produce byte-identical output.  Exit codes: 0 all checks
-pass, 1 a mathematical check failed, 2 usage or parse error.
+identical invocations produce byte-identical output.  A small recursive
+writer (``_json_text``) emits exactly the bytes of
+``json.dumps(report, indent=2, sort_keys=True)``; with ``indent`` the stdlib
+falls back to its pure-Python encoder.  Exit codes: 0 all checks pass, 1 a
+mathematical check failed, 2 usage or parse error.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ MAX_FLOW_STEPS = 100_000
 
 
 def _vec(v: Sequence[Fraction | int]) -> list[str]:
-    return [str(x) for x in v]
+    return list(map(str, v))
 
 
 def _subspace(s: Subspace) -> dict[str, Any]:
@@ -76,6 +79,58 @@ def _subspace(s: Subspace) -> dict[str, Any]:
         "basis": [_vec(row) for row in s.basis],
         "plucker": _vec(s.plucker),
     }
+
+
+_escape = json.encoder.encode_basestring_ascii
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false", math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _json_text(obj: Any) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, for objects
+    whose dict keys are all str."""
+    out: list[str] = []
+    _write_json(obj, out, "\n")
+    return "".join(out)
+
+
+def _write_json(obj: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of obj to ``out``; ``newline`` is the line break
+    and the indent of obj's own level.  A list of strings takes one join."""
+    if isinstance(obj, str):
+        out.append(_escape(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append(_JSON_CONSTANTS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _JSON_CONSTANTS.get(obj, "NaN"))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, obj)) == {str}:
+            out.append("[" + inner + ("," + inner).join(map(_escape, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for x in obj:
+            out.append(sep)
+            _write_json(x, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.append(sep + _escape(key) + ": ")
+            _write_json(obj[key], out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _point_arg(text: str) -> tuple[Fraction, ...]:
@@ -100,14 +155,15 @@ def _int_at_least(low: int):
     return parse
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
-    return value
+def _float_at_least(low: float):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low:g}, got {text}")
+        return value
 
-
-_finite_float.__name__ = "float"  # argparse names the type in its message for a non-number
+    parse.__name__ = "float"  # argparse names the type in its message for a non-number
+    return parse
 
 
 def _check_points(preset: Preset, points: Sequence[Sequence[Fraction]], what: str = "point") -> None:
@@ -121,11 +177,14 @@ def _check_points(preset: Preset, points: Sequence[Sequence[Fraction]], what: st
 
 def _write_csv(directory: str, stem: str, header: list[str], rows: Iterable[list]) -> None:
     path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / f"{stem}.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        with open(path / f"{stem}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot write the CSV files: {exc}") from exc
 
 
 def _resolve_operator(preset: Preset, text: str) -> UEAElement:
@@ -539,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="longitudinal ellipticity verdict over sampled points")
     sp.add_argument("--op", required=True)
     sp.add_argument("--points", type=_points_arg, required=True)
-    sp.add_argument("--tol", type=_finite_float, default=1e-9)
+    sp.add_argument("--tol", type=_float_at_least(0), default=1e-9)
     sp.add_argument("--sphere-samples", dest="sphere_samples", type=_int_at_least(1), default=8)
     sp.add_argument("--convention", choices=("positive", "nonvanishing"), default="positive",
                     help="strict positivity (default) or nonvanishing |symbol|")
@@ -551,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Hamiltonian identities, cone invariance, lift check")
     sp.add_argument("--scenario", action="append", default=None,
                     help="'point=1,0,0;gen=g3;eta=0,1,0;T=1;steps=1000' (repeatable)")
-    sp.add_argument("--tol", type=_finite_float, default=1e-6)
+    sp.add_argument("--tol", type=_float_at_least(0), default=1e-6)
     sp.set_defaults(fn=cmd_poisson_check)
 
     sp = sub.add_parser("selftest", parents=[report], help="run the acceptance suite")
@@ -584,9 +643,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         "timing_seconds": time.time() - start if args.timing else None,
         **fields,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    payload = _json_text(report) + "\n"
     if args.out:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

@@ -439,22 +439,6 @@ class IsotropyAlgebra:
         vecs = [self.class_coordinates(row) for row in v.basis]
         return make_subspace(vecs, self.dim)
 
-    def bracket_coords(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
-        """Bracket of two quotient classes given in quotient-basis coordinates."""
-        out = [Fraction(0)] * self.dim
-        for a, ua in enumerate(u):
-            if ua == 0:
-                continue
-            for b, vb in enumerate(v):
-                if vb == 0:
-                    continue
-                terms = [(k, w) for k, w in enumerate(self.bracket_table[a][b]) if w]
-                if terms:
-                    uv = ua * vb
-                    for k, w in terms:
-                        out[k] += uv * w
-        return tuple(out)
-
 
 def isotropy_algebra(
     p: FoliationPresentation, m: Sequence, degree_bound: int | None = None

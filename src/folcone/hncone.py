@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -153,7 +153,10 @@ def nash_fiber(
     anchor = p.anchor()
     limits: list[Subspace] = []
     records: list[CurveRecord] = []
-    index: dict[tuple, int] = {}
+    # every limit lies in Q^N with N the anchor's column count, so its basis
+    # entries' (numerator, denominator) pairs, in row order, identify it
+    keys: list[tuple[tuple[int, int], ...]] = []
+    index: dict[tuple[tuple[int, int], ...], int] = {}
     for curve in curves:
         if curve.center != point:
             records.append(CurveRecord(curve.label, False, "not centered at the point"))
@@ -163,12 +166,16 @@ def nash_fiber(
         except CurveNotGeneric as exc:
             records.append(CurveRecord(curve.label, False, f"CurveNotGeneric: {exc}"))
             continue
-        key = (limit.ambient_dim, limit.basis)
-        if key not in index:
-            index[key] = len(limits)
+        key = tuple([(x.numerator, x.denominator) for row in limit.basis for x in row])
+        i = index.setdefault(key, len(limits))
+        if i == len(limits):
             limits.append(limit)
-        records.append(CurveRecord(curve.label, True, "", index[key]))
-    order = sorted(range(len(limits)), key=lambda i: limits[i].basis)
+            keys.append(key)
+        records.append(CurveRecord(curve.label, True, "", i))
+    # the bases in order, compared as integers over one common denominator;
+    # rows of one length make the flat order the row-by-row order
+    den = lcm(*(d for key in keys for _, d in key))
+    order = sorted(range(len(limits)), key=lambda i: tuple([n * (den // d) for n, d in keys[i]]))
     remap = {old: new for new, old in enumerate(order)}
     records = [
         CurveRecord(r.label, r.accepted, r.reason, remap[r.limit_index] if r.limit_index is not None else None)
@@ -248,20 +255,25 @@ class SubalgebraReport:
 def limit_subalgebra_check(
     p: FoliationPresentation, sample: NashFiberSample, isotropy: IsotropyAlgebra
 ) -> SubalgebraReport:
-    """Each limit image V-bar is bracket-closed of codim r - dim(Im rho_m)."""
+    """Each limit image V-bar is bracket-closed of codim r - dim(Im rho_m).
+
+    V-bar is closed exactly when <w, [u_i, u_j]> = 0 for every w of a basis
+    of its annihilator and every pair i < j of its basis (the bracket is
+    alternating, so these pairs decide it).  For each w the bracket table
+    contracts to an alternating form B_w, and the test is U B_w U^T = 0.  The
+    table, the rows u_i and each w are scaled to integers by positive
+    factors, which change no zero, so the verdict is exact.
+    """
     if isotropy.point != sample.point:
         raise ValueError("isotropy must be computed at the sample's point")
     r = p.generic_rank()
     expected_codim = r - leaf_dimension_at(p, sample.point)
+    forms = _integer_bracket_forms(isotropy.bracket_table)
     images, closed_flags, codim_flags, violations = [], [], [], []
     for idx, v in enumerate(sample.limits):
         vbar = isotropy.project_subspace(v)
         images.append(vbar)
-        # the bracket is alternating, so pairs a < b decide closure
-        closed = all(
-            vbar.contains_vector(isotropy.bracket_coords(a_row, b_row))
-            for a_row, b_row in combinations(vbar.basis, 2)
-        )
+        closed = _is_subalgebra(vbar, forms)
         codim = isotropy.dim - vbar.dim
         closed_flags.append(closed)
         codim_flags.append(codim == expected_codim)
@@ -279,6 +291,54 @@ def limit_subalgebra_check(
         tuple(codim_flags),
         tuple(violations),
     )
+
+
+def _integer_bracket_forms(table: Sequence[Sequence[Sequence[Fraction]]]) -> list[list[tuple[int, int, int]]]:
+    """Per quotient coordinate k, the entries (a, b, n) with a < b and n != 0
+    of the table's k-th coordinate, all scaled by one common denominator."""
+    g = len(table)
+    upper = [(a, b, table[a][b]) for a in range(g) for b in range(a + 1, g)]
+    den = lcm(*(x.denominator for _, _, cell in upper for x in cell))
+    forms: list[list[tuple[int, int, int]]] = [[] for _ in range(g)]
+    for a, b, cell in upper:
+        for k, x in enumerate(cell):
+            if x:
+                forms[k].append((a, b, x.numerator * (den // x.denominator)))
+    return forms
+
+
+def _is_subalgebra(vbar: Subspace, forms: Sequence[Sequence[tuple[int, int, int]]]) -> bool:
+    """Whether the span of the reduced-echelon rows u_i is bracket-closed:
+    U B_w U^T = 0 for the annihilator basis w_f = e_f - sum_i u_i[f] e_lead(i),
+    one per column f that leads no row."""
+    g, d = vbar.ambient_dim, vbar.dim
+    if d <= 1 or d == g:
+        return True
+    rows = [dict(pairs) for _, pairs in vbar.support]
+    leads = [lead for lead, _ in vbar.support]
+    u = [list(zip(row, algebra.primitive(list(row.values())))) for row in rows]
+    for f in set(range(g)).difference(leads):
+        w = {f: Fraction(1)}
+        for lead, row in zip(leads, rows):
+            if f in row:
+                w[lead] = -row[f]
+        form = [[0] * g for _ in range(g)]
+        for k, wk in zip(w, algebra.primitive(list(w.values()))):
+            for a, b, n in forms[k]:
+                form[a][b] += wk * n
+                form[b][a] -= wk * n
+        columns = list(zip(*[_combination(row, form, g) for row in u]))  # of U B_w
+        if any(any(_combination(row, columns, d)) for row in u):
+            return False
+    return True
+
+
+def _combination(row: Sequence[tuple[int, int]], vectors: Sequence[Sequence[int]], length: int) -> list[int]:
+    """sum of x * vectors[a] over the ``(a, x)`` pairs of a sparse row."""
+    acc = [0] * length
+    for a, x in row:
+        acc = [s + x * t for s, t in zip(acc, vectors[a])]
+    return acc
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from folcone.cli import MAX_FLOW_STEPS, _parse_scenario, main
+from folcone.cli import MAX_FLOW_STEPS, _json_text, _parse_scenario, main
 from folcone.expr import parse_operator
 from folcone.poisson import dual_vars
 from folcone.presets import BUILTIN_NAMES, PresetError, load_preset, parse_preset_text
@@ -20,6 +22,33 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+json_scalars = st.one_of(
+    st.none(),
+    st.sampled_from([True, 1, False, 0, -0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.integers(),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.text(),  # non-ASCII and control characters included
+    st.sampled_from(["", "\x00\x1f\x7f", "\"\\/\b\f\n\r\t", "é\u2028\ud800", "\U0001f600"]),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(st.text(max_size=3), max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_trees)
+def test_report_writer_matches_json_dumps(obj):
+    assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
 
 class TestPresets:
@@ -328,9 +357,19 @@ class TestCommands:
             ("elliptic", "so3_r3", "--op", "g1.g1.g1.g1+g2.g2.g2.g2+g3.g3.g3.g3", "--points", "0,0,0;1,0,0",
              "--seed=-1"),
             ("analyze", "so3_r3", "--seed", "-1"),
+            # a negative tolerance would pass a negative-definite symbol
+            ("elliptic", "so3_r3", "--op=-g1.g1-g2.g2-g3.g3", "--points", "1,0,0", "--tol=-5"),
+            ("poisson-check", "so3_r3", "--tol", "-1e-6"),
+            # output paths that cannot be written: TMP is a directory, TMP/file a file
+            ("hn-fiber", "so3_r3", "--point", "0,0,0", "--out", "TMP"),
+            ("hn-fiber", "so3_r3", "--point", "0,0,0", "--out", "TMP/missing/report.json"),
+            ("nash-fiber", "so3_r3", "--point", "0,0,0", "--csv", "TMP/file"),
+            ("poisson-check", "so3_r3", "--csv", "TMP/file"),
         ],
     )
-    def test_bad_input_exits_two_with_one_error_line(self, capsys, argv):
+    def test_bad_input_exits_two_with_one_error_line(self, capsys, tmp_path, argv):
+        (tmp_path / "file").write_text("")
+        argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         errors = [line for line in err.splitlines() if "error:" in line]

@@ -1,9 +1,14 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_foliation import bracket_coords
 
+from folcone import algebra
 from folcone.expr import Polynomial, parse_vector_field
 from folcone.foliation import FoliationPresentation, isotropy_algebra, strong_kernel_at
 from folcone.grassmann import Curve, annihilator, make_subspace
@@ -80,6 +85,14 @@ class TestNashFiber:
         sample = nash_fiber(so3(), (0, 0, 0), curves)
         expected = {make_subspace([d], 3) for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))}
         assert set(sample.limits) == expected
+
+    def test_limits_sorted_and_indexed_with_fractional_entries(self):
+        # the ray limits span(d) read (1, d2/d1, 0): their order turns on the denominators
+        dirs = ((1, 1, 0), (3, 2, 0), (2, 1, 0), (3, 1, 0), (2, 1, 0))
+        sample = nash_fiber(so3(), (0, 0, 0), [Curve.ray((0, 0, 0), d) for d in dirs])
+        assert [v.basis[0][1] for v in sample.limits] == [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1]
+        for d, record in zip(dirs, sample.curves_used):
+            assert sample.limits[record.limit_index] == make_subspace([d], 3)
 
     def test_rejected_curves_logged(self):
         curves = [Curve.constant((0, 0, 0)), Curve.ray((0, 0, 0), (1, 0, 0))]
@@ -201,12 +214,91 @@ class TestChecks:
         assert "limit 0: image not closed under the isotropy bracket" in report.violations
         assert not report.ok
 
+    def test_not_closed_away_from_the_first_row(self):
+        # in gl3 the identity g11 + g22 + g33 is central and leads the reduced
+        # basis; only [g12, g21] = +-(g11 - g22) leaves the span
+        p = load_preset("vanishing_origin_3").presentation
+        origin = (Fraction(0),) * 3
+        span = make_subspace([(1, 0, 0, 0, 1, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0, 0, 0)], 9)
+        report = limit_subalgebra_check(p, NashFiberSample(origin, (span,), ()), isotropy_algebra(p, origin))
+        assert report.closed == (False,)
+
     def test_point_mismatch_rejected(self):
         p = so3()
         sample = nash_fiber(p, (0, 0, 0))
         iso = isotropy_algebra(p, (1, 0, 0))
         with pytest.raises(ValueError):
             limit_subalgebra_check(p, sample, iso)
+
+
+@lru_cache(maxsize=None)
+def origin_isotropy(name):
+    """The preset, its isotropy algebra at the origin and the Nash fiber there."""
+    p = load_preset(name).presentation
+    origin = (Fraction(0),) * p.dim
+    return p, isotropy_algebra(p, origin), nash_fiber(p, origin)
+
+
+def closed_by_brackets(iso, vectors):
+    """The subalgebra generated by ``vectors``: their span, closed under the
+    bracket by adding the brackets of its basis until the dimension stays."""
+    span = make_subspace(vectors, iso.dim)
+    while True:
+        brackets = [bracket_coords(iso, a, b) for a, b in itertools.combinations(span.basis, 2)]
+        bigger = make_subspace(list(span.basis) + brackets, iso.dim)
+        if bigger.dim == span.dim:
+            return span
+        span = bigger
+
+
+def centralizer(iso, x):
+    """{y : [x, y] = 0}, a subalgebra by the Jacobi identity."""
+    ad_columns = [bracket_coords(iso, x, e) for e in algebra.identity(iso.dim)]
+    return make_subspace(algebra.kernel_basis(algebra.transpose(ad_columns), iso.dim), iso.dim)
+
+
+@st.composite
+def quotient_subspaces(draw):
+    """A preset with a nonzero isotropy algebra at the origin and a subspace of
+    that algebra: spanned by sparse rational vectors, or closed by
+    construction (a limit's image, a generated subalgebra, a centralizer, the
+    derived algebra)."""
+    name = draw(st.sampled_from(["vanishing_origin_2", "vanishing_origin_3", "order2_r2", "r4_counterexample"]))
+    p, iso, sample = origin_isotropy(name)
+    g = iso.dim
+    entry = st.sampled_from([0] * 6 + [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    vector = st.lists(entry, min_size=g, max_size=g)
+    kind = draw(st.sampled_from(["span", "span", "limit", "generated", "centralizer", "derived"]))
+    if kind == "span":
+        vbar = make_subspace(draw(st.lists(vector, max_size=g)), g)
+    elif kind == "limit":
+        vbar = iso.project_subspace(draw(st.sampled_from(sample.limits)))
+    elif kind == "generated":
+        vbar = closed_by_brackets(iso, draw(st.lists(vector, min_size=1, max_size=2)))
+    elif kind == "centralizer":
+        vbar = centralizer(iso, draw(vector))
+    else:
+        vbar = closed_by_brackets(iso, [bracket_coords(iso, a, b) for a, b in itertools.combinations(algebra.identity(g), 2)])
+    return p, iso, vbar
+
+
+class TestSubalgebraClosure:
+    @settings(max_examples=120, deadline=None)
+    @given(quotient_subspaces())
+    def test_closure_matches_pairwise_brackets(self, case):
+        p, iso, vbar = case
+        # lift the classes to the kernel: sum_a c_a q_a for the representatives q_a
+        lifted = make_subspace(
+            [[sum(c * q[i] for c, q in zip(row, iso.quotient_basis)) for i in range(p.num_generators)]
+             for row in vbar.basis],
+            p.num_generators,
+        )
+        report = limit_subalgebra_check(p, NashFiberSample(iso.point, (lifted,), ()), iso)
+        assert report.images == (vbar,)
+        expected = all(
+            vbar.contains_vector(bracket_coords(iso, a, b)) for a, b in itertools.combinations(vbar.basis, 2)
+        )
+        assert report.closed == (expected,)
 
 
 class TestMembershipDistance:

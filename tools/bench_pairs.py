@@ -117,6 +117,9 @@ def main(argv=None) -> int:
                 "cpu_count": os.cpu_count(),
                 "platform": platform.platform(),
                 "python": platform.python_version(),
+                # without bytecode caching each set-up compiles src from source
+                "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+                "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
             },
             "workloads": {},
         }
