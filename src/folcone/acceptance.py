@@ -413,7 +413,7 @@ def float_limit_angles(anchor: algebra.PolyMatrix, curve: Curve, limit: Subspace
     exact = Subspace(n, tuple(algebra.kernel_basis(at_t, ncols=n)))
     if exact.dim != limit.dim:
         return float("inf"), float("inf")
-    x = [c.eval_float([T_FLOAT]) for c in curve.components]
+    x = [sum(float(a) * T_FLOAT**d for d, a in enumerate(c)) for c in curve.coeffs]
     _, _, vt = np.linalg.svd(np.array([[e.eval_float(x) for e in row] for row in anchor], dtype=float))
     svd_angle = principal_angle(vt[n - limit.dim :], exact.basis_floats())
     return svd_angle, _angle(np.array(exact.plucker, dtype=float), np.array(limit.plucker, dtype=float))

@@ -11,9 +11,12 @@ row by its pivot only at the end; ``rref`` is its dense view, and ``rank``,
 ``kernel_basis`` and ``solve_linear`` read its pivot rows.  Since the lead
 is the smallest column, the rows led by the last columns involve only
 those columns: a system whose wanted unknowns come last (the strong kernel)
-stops after ``echelon``.  Over polynomial entries elimination is
-fraction-free too (Bareiss, exact-division form), so ranks and kernels over
-the fraction field Q(x) or Q(t) are certified rather than estimated.
+stops after ``echelon``.  Over polynomial entries there is one loop too,
+fraction-free (Bareiss, exact-division form): ``bareiss_echelon``.
+``generic_rank`` counts its pivots and ``bareiss_det`` reads its last one,
+so ranks and determinants over Q(x) are certified rather than estimated.
+The generic rank runs once per presentation; the Q(t) kernels below serve
+the tests as an oracle of the limit engine.
 """
 
 from __future__ import annotations
@@ -198,7 +201,8 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(pivot_rows(rows))
+    """Rank of dense rows: the number of ``echelon`` leads."""
+    return len(echelon(dict(enumerate(row)) for row in rows))
 
 
 def kernel_vectors(pivots: Mapping[int, SparseRow], ncols: int, coords: Sequence[int]) -> list[Vec]:
@@ -312,34 +316,18 @@ def generic_rank(m: PolyMatrix) -> int:
 
 
 def bareiss_det(m: PolyMatrix) -> Polynomial:
-    """Exact determinant of a square polynomial matrix (fraction-free)."""
+    """Exact determinant of a square polynomial matrix, read off
+    ``bareiss_echelon``: 0 below full rank, else the last pivot, which is the
+    determinant of the rows in their returned order, signed by that order's
+    parity."""
     n = len(m)
     if n == 0:
         raise ValueError("empty matrix has no determinant here")
-    vars = m[0][0].vars
-    if n == 1:
-        return m[0][0]
-    work = [list(row) for row in m]
-    sign = 1
-    prev: Polynomial | None = None
-    for k in range(n - 1):
-        if work[k][k].is_zero():
-            swap = None
-            for i in range(k + 1, n):
-                if not work[i][k].is_zero():
-                    swap = i
-                    break
-            if swap is None:
-                return Polynomial.zero(vars)
-            work[k], work[swap] = work[swap], work[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                work[i][j] = num.exact_div(prev) if prev is not None else num
-        prev = work[k][k]
-    det = work[n - 1][n - 1]
-    return -det if sign < 0 else det
+    rows, cols, order = bareiss_echelon(m)
+    if len(cols) < n:
+        return _poly_zero_like(m)
+    inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+    return -rows[-1][-1] if inversions & 1 else rows[-1][-1]
 
 
 def rational_det(rows: Sequence[Sequence]) -> Fraction:

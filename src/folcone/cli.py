@@ -61,6 +61,9 @@ from .symbols import (
 SCHEMA_VERSION = 1
 # RK4 steps per flow: 10^5 steps already take seconds, and time and memory grow with the count
 MAX_FLOW_STEPS = 100_000
+# arc degree of the curve family: each degree adds n arcs whose t-coefficient
+# rows grow with it, and an hn-fiber op on r4 at degree 64 already takes seconds
+MAX_ARC_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +147,13 @@ def _points_arg(text: str) -> list[tuple[Fraction, ...]]:
     return [_point_arg(chunk) for chunk in text.split(";") if chunk.strip()]
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its message for a non-integer
@@ -564,8 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     curves = argparse.ArgumentParser(add_help=False)
     curves.add_argument("--curves", type=_int_at_least(1), default=None,
                         help="number of ray directions (default: 3n deterministic directions)")
-    curves.add_argument("--arc-degree", dest="arc_degree", type=_int_at_least(1), default=2,
-                        help="maximum arc degree in the curve family")
+    curves.add_argument("--arc-degree", dest="arc_degree", type=_int_at_least(1, MAX_ARC_DEGREE), default=2,
+                        help=f"maximum arc degree in the curve family (at most {MAX_ARC_DEGREE})")
 
     parser = argparse.ArgumentParser(
         prog="folcone",

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import algebra
 from .algebra import PolyMatrix, Vec
-from .expr import Polynomial
 
 
 class CurveNotGeneric(ValueError):
@@ -251,68 +250,55 @@ def reconstruct_from_plucker(vec: Sequence[Fraction], ambient_dim: int, k: int) 
 # Curves
 # ---------------------------------------------------------------------------
 
-_T_VARS = ("t",)
-
-
 @dataclass(frozen=True)
 class Curve:
-    """A polynomial arc t -> x(t) in the base, with x(0) = center."""
+    """A polynomial arc t -> x(t) in the base: coordinate i is
+    sum_d coeffs[i][d] t^d, so x(0) = center is each coordinate's first
+    coefficient.  Coefficients are held as Fractions."""
 
-    center: tuple[Fraction, ...]
-    components: tuple[Polynomial, ...]
+    coeffs: tuple[tuple[Fraction, ...], ...]
     label: str = ""
 
     def __post_init__(self):
-        for m_i, comp in zip(self.center, self.components):
-            if comp.vars != _T_VARS:
-                raise ValueError("curve components must be univariate in t")
-            if comp.constant_term() != m_i:
-                raise ValueError("curve does not start at its center")
+        coeffs = tuple(tuple(algebra.fracs(c)) for c in self.coeffs)
+        if not all(coeffs):
+            raise ValueError("every curve coordinate needs a constant coefficient")
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @property
+    def center(self) -> tuple[Fraction, ...]:
+        return tuple(c[0] for c in self.coeffs)
 
     @staticmethod
     def constant(m: Sequence) -> "Curve":
-        center = tuple(Fraction(x) for x in m)
-        comps = tuple(Polynomial.const(c, _T_VARS) for c in center)
-        return Curve(center, comps, "constant")
+        return Curve(tuple((x,) for x in m), "constant")
 
     @staticmethod
     def ray(m: Sequence, d: Sequence, label: str | None = None) -> "Curve":
-        center = tuple(Fraction(x) for x in m)
-        dd = tuple(Fraction(x) for x in d)
-        comps = tuple(
-            Polynomial.const(c, _T_VARS) + Polynomial.monomial((1,), v, _T_VARS)
-            for c, v in zip(center, dd)
-        )
-        return Curve(center, comps, label or f"ray d=({','.join(str(x) for x in dd)})")
+        dd = algebra.fracs(d)
+        return Curve(tuple(zip(m, dd)), label or f"ray d=({','.join(map(str, dd))})")
 
     @staticmethod
     def arc(m: Sequence, d: Sequence, e: Sequence, power: int = 2, label: str | None = None) -> "Curve":
-        center = tuple(Fraction(x) for x in m)
-        dd = tuple(Fraction(x) for x in d)
-        ee = tuple(Fraction(x) for x in e)
-        comps = tuple(
-            Polynomial.const(c, _T_VARS)
-            + Polynomial.monomial((1,), v, _T_VARS)
-            + Polynomial.monomial((power,), w, _T_VARS)
-            for c, v, w in zip(center, dd, ee)
-        )
+        """m + t d + t^power e, power >= 1."""
+        if power < 1:
+            raise ValueError("arc power must be >= 1")
+        dd, ee = algebra.fracs(d), algebra.fracs(e)
+        coeffs = []
+        for c, v, w in zip(m, dd, ee):
+            row = [c, v] + [0] * (power - 1)
+            row[power] += w
+            coeffs.append(row)
         return Curve(
-            center,
-            comps,
-            label
-            or f"arc d=({','.join(str(x) for x in dd)}) e=({','.join(str(x) for x in ee)}) pow={power}",
+            tuple(coeffs),
+            label or f"arc d=({','.join(map(str, dd))}) e=({','.join(map(str, ee))}) pow={power}",
         )
 
     def is_constant(self) -> bool:
-        return all(c.total_degree() <= 0 for c in self.components)
+        return not any(x for c in self.coeffs for x in c[1:])
 
     def eval(self, t) -> tuple[Fraction, ...]:
-        return tuple(c.eval([t]) for c in self.components)
-
-    def substitution(self, vars: Sequence[str]) -> dict[str, Polynomial]:
-        if len(vars) != len(self.components):
-            raise ValueError("curve dimension mismatch")
-        return dict(zip(vars, self.components))
+        return tuple(_horner(c, t) for c in self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -400,14 +386,16 @@ def _integer_rows(m: PolyMatrix, curve: Curve, vars: Sequence[str]) -> list[list
     """M(x(t)) with entry (i, j) the list of its t-coefficients, lowest power
     first, and each row scaled by one positive integer to clear denominators.
 
-    The curve's components map to ``vars`` by name (``Curve.substitution``),
-    and each entry's variables are looked up there, as ``Polynomial.subs``
-    does.  Each power of a component and each monomial's image is computed
-    once, as integer coefficients over one denominator.
+    Coordinate i of the curve (``Curve.coeffs[i]``) is substituted for
+    ``vars[i]``, and each entry's variables are looked up by name, as
+    ``Polynomial.subs`` does.  Each power of a coordinate and each
+    monomial's image is computed once, as integer coefficients over one
+    denominator.
     """
+    if len(vars) != len(curve.coeffs):
+        raise ValueError("curve dimension mismatch")
     powers: dict[str, list[tuple[list[int], int]]] = {}
-    for v, comp in curve.substitution(vars).items():
-        coeffs = [comp.coefficient((e,)) for e in range(comp.total_degree() + 1)]
+    for v, coeffs in zip(vars, curve.coeffs):
         den = lcm(*[a.denominator for a in coeffs])
         powers[v] = [([1], 1), ([a.numerator * (den // a.denominator) for a in coeffs], den)]
     monomials: dict[tuple[tuple[str, ...], tuple[int, ...]], tuple[list[int], int]] = {}

@@ -204,7 +204,11 @@ def load_preset(name_or_path: str) -> Preset:
         return _CACHE[name_or_path]
     path = Path(name_or_path)
     if path.exists():
-        return parse_preset_text(path.read_text(), source=str(path))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise PresetError(f"cannot read preset file {name_or_path!r}: {exc}", 1) from None
+        return parse_preset_text(text, source=str(path))
     raise PresetError(
         f"unknown preset {name_or_path!r}; builtins: {', '.join(BUILTIN_NAMES)}", 1
     )

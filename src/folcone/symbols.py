@@ -369,34 +369,6 @@ class EllipticityReport:
         return all(pv.elliptic for pv in self.points)
 
 
-def _rational_roots(coeffs: Sequence[Fraction], approx: Sequence[float]) -> list[Fraction] | None:
-    """All roots, with multiplicity, of the polynomial with ascending
-    ``coeffs``, snapped from one float approximation per root; else None.
-
-    Each approximation is snapped with ``limit_denominator`` at the bounds
-    10^0 ... 10^15 in turn, and a candidate counts only when exact deflation
-    by (x - candidate) leaves remainder 0, so every returned root is exact.
-    None means the polynomial does not split over Q, or a rational root has
-    an approximation too coarse for any bound to recover it.
-    """
-    work = list(reversed(coeffs))  # descending, for synthetic division
-    roots: list[Fraction] = []
-    for value in approx:
-        for bound in (10**e for e in range(16)):
-            cand = Fraction(value).limit_denominator(bound)
-            acc, quotient = Fraction(0), []
-            for c in work:
-                acc = acc * cand + c
-                quotient.append(acc)
-            if quotient.pop() == 0:
-                roots.append(cand)
-                work = quotient
-                break
-        else:
-            return None
-    return roots if len(work) == 1 else None
-
-
 def _gram_of_quadratic(q: Polynomial, r: int) -> list[list[Fraction]]:
     g = [[Fraction(0)] * r for _ in range(r)]
     for exp, c in q.terms.items():
@@ -412,13 +384,31 @@ def _gram_of_quadratic(q: Polynomial, r: int) -> list[list[Fraction]]:
     return g
 
 
-def _sylvester_positive_definite(m: list[list[Fraction]]) -> bool:
+def _positive_definite(m: list[list[Fraction]]) -> bool:
+    """Sylvester's criterion by one elimination pass without pivoting: the
+    k-th leading minor of a symmetric matrix is the product of the first k
+    pivots, so it is positive definite exactly when every pivot is > 0."""
+    m = [list(row) for row in m]
     n = len(m)
-    for k in range(1, n + 1):
-        minor = algebra.rational_det([row[:k] for row in m[:k]])
-        if minor <= 0:
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot <= 0:
             return False
+        for i in range(k + 1, n):
+            f = m[i][k] / pivot
+            if f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return True
+
+
+def _pencil_eigenvalues(g: list[list[Fraction]], gram: list[list[Fraction]]) -> list[float]:
+    """Float eigenvalues of the pencil (G, M), ascending, by a Cholesky
+    reduction of M."""
+    g_np = np.array([[float(x) for x in row] for row in g])
+    m_np = np.array([[float(x) for x in row] for row in gram])
+    inv = np.linalg.inv(np.linalg.cholesky(m_np))
+    reduced = inv @ g_np @ inv.T
+    return np.linalg.eigvalsh((reduced + reduced.T) / 2).tolist()
 
 
 def _pencil_minimum(
@@ -427,37 +417,33 @@ def _pencil_minimum(
     """(float min, exact min or None, verdict min > tol).
 
     Minimizes u^T G u over the ellipsoid u^T M u = 1 (M = Gram of the basis),
-    i.e. the smallest generalized eigenvalue of (G, M).  The verdict is
-    Sylvester's criterion on G - tol M: with M positive definite, the
-    smallest eigenvalue exceeds tol exactly when G - tol M is positive
-    definite.  The float eigenvalues are snapped to exact roots of
-    det(G - lam M) (``_rational_roots``) only to report the minimum; when
-    that fails the exact min is None.
+    i.e. the smallest generalized eigenvalue of (G, M).  M is positive
+    definite, so the pencil diagonalizes: c is an eigenvalue of multiplicity
+    r - rank(G - cM).  Each float eigenvalue is snapped with
+    ``limit_denominator`` at the bounds 10^0 ... 10^15 in turn, and a snap is
+    kept only while it has been kept fewer times than that multiplicity, so
+    every kept root is exact.  The exact min is the smallest root when every
+    root is recovered, else None.  The verdict is Sylvester's criterion on
+    G - tol M (``_positive_definite``): the smallest eigenvalue exceeds tol
+    exactly when G - tol M is positive definite.
     """
     r = len(g)
-    lam_vars = ("lam",)
-    lam = Polynomial.var("lam", lam_vars)
-    entries = [
-        [Polynomial.const(g[i][j], lam_vars) - lam * Polynomial.const(gram[i][j], lam_vars) for j in range(r)]
-        for i in range(r)
-    ]
-    char = algebra.bareiss_det(entries)
-    coeffs = [Fraction(0)] * (char.total_degree() + 1)
-    for exp, c in char.terms.items():
-        coeffs[exp[0]] = c
-    g_np = np.array([[float(x) for x in row] for row in g])
-    m_np = np.array([[float(x) for x in row] for row in gram])
-    chol = np.linalg.cholesky(m_np)
-    inv = np.linalg.inv(chol)
-    reduced = inv @ g_np @ inv.T
-    eigenvalues = np.linalg.eigvalsh((reduced + reduced.T) / 2)
-    float_min = float(eigenvalues.min())
-    roots = _rational_roots(coeffs, eigenvalues.tolist())
+    eigenvalues = _pencil_eigenvalues(g, gram)
+    roots: list[Fraction] | None = []
+    for value in eigenvalues:
+        for bound in (10**e for e in range(16)):
+            cand = Fraction(value).limit_denominator(bound)
+            nullity = r - algebra.rank([[a - cand * b for a, b in zip(*rows)] for rows in zip(g, gram)])
+            if roots.count(cand) < nullity:
+                roots.append(cand)
+                break
+        else:
+            roots = None
+            break
     exact_min = min(roots) if roots else None
-    if exact_min is not None:
-        float_min = float(exact_min)
-    shifted = [[g[i][j] - tol * gram[i][j] for j in range(r)] for i in range(r)]
-    return float_min, exact_min, _sylvester_positive_definite(shifted)
+    float_min = float(exact_min) if exact_min is not None else min(eigenvalues)
+    shifted = [[a - tol * b for a, b in zip(*rows)] for rows in zip(g, gram)]
+    return float_min, exact_min, _positive_definite(shifted)
 
 
 def ellipticity_check(

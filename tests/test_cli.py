@@ -3,13 +3,15 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folcone.cli import MAX_FLOW_STEPS, _json_text, _parse_scenario, main
+from folcone.cli import MAX_ARC_DEGREE, MAX_FLOW_STEPS, _json_text, _parse_scenario, build_parser, main
 from folcone.expr import parse_operator
+from folcone.hncone import curve_family
 from folcone.poisson import dual_vars
 from folcone.presets import BUILTIN_NAMES, PresetError, load_preset, parse_preset_text
 from folcone.symbols import UEAElement, pullback_consistency
@@ -365,10 +367,18 @@ class TestCommands:
             ("hn-fiber", "so3_r3", "--point", "0,0,0", "--out", "TMP/missing/report.json"),
             ("nash-fiber", "so3_r3", "--point", "0,0,0", "--csv", "TMP/file"),
             ("poisson-check", "so3_r3", "--csv", "TMP/file"),
+            # preset paths that exist but cannot be read: a directory, a file not in UTF-8
+            ("analyze", "TMP"),
+            ("analyze", "TMP/latin1.preset"),
+            # the arc degree is capped on every command that builds a curve family
+            ("nash-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", str(MAX_ARC_DEGREE + 1)),
+            ("hn-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", "1000000"),
+            ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--arc-degree", str(MAX_ARC_DEGREE + 1)),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, tmp_path, argv):
         (tmp_path / "file").write_text("")
+        (tmp_path / "latin1.preset").write_bytes("name caf\xe9\n".encode("latin-1"))
         argv = [a.replace("TMP", str(tmp_path)) for a in argv]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
@@ -381,6 +391,35 @@ class TestCommands:
         assert _parse_scenario(f"point=1,0,0;steps={MAX_FLOW_STEPS}", preset)["steps"] == MAX_FLOW_STEPS
         with pytest.raises(argparse.ArgumentTypeError, match=f"steps must be between 1 and {MAX_FLOW_STEPS}$"):
             _parse_scenario(f"point=1,0,0;steps={MAX_FLOW_STEPS + 1}", preset)
+
+    def test_ops_run_no_polynomial_elimination(self, capsys, monkeypatch):
+        # one Bareiss pass per presentation gives its generic rank; with that
+        # memoised, an op runs no Bareiss pass, polynomial determinant or
+        # rational_det: arc limits work on integer t-coefficient rows and the
+        # quadratic pencil on the one elimination over Q
+        from folcone import algebra
+
+        for name in ("so3_r3", "r4_counterexample"):
+            load_preset(name).presentation.generic_rank()
+
+        def refuse(*args):
+            raise AssertionError("polynomial elimination on an op path")
+
+        for name in ("bareiss_det", "bareiss_echelon", "rational_det"):
+            monkeypatch.setattr(algebra, name, refuse)
+        code, _, err = run_cli(capsys, "hn-fiber", "r4_counterexample", "--point", "0,0,0,0")
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1.g1+g2.g2+g3.g3", "--points", "0,0,0;1,0,0")
+        assert code == 0, err
+        curves = curve_family((0, 0, 0, 0), arc_degree=3)
+        assert all(type(x) is Fraction for curve in curves for row in curve.coeffs for x in row)
+
+    @pytest.mark.parametrize("command", ["nash-fiber", "hn-fiber", "elliptic"])
+    def test_arc_degree_capped_at_the_limit(self, command):
+        # the cap itself parses; one more is refused (see the bad-input rows)
+        argv = [command, "so3_r3", "--arc-degree", str(MAX_ARC_DEGREE)]
+        argv += ["--op", "g1.g1", "--points", "1,0,0"] if command == "elliptic" else ["--point", "0,0,0"]
+        assert build_parser().parse_args(argv).arc_degree == MAX_ARC_DEGREE
 
     def test_odd_degree_elliptic_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1", "--points", "1,0,0")

@@ -257,17 +257,33 @@ class TestCurve:
     def test_constant(self):
         c = Curve.constant((1, 2))
         assert c.is_constant() and c.eval(Fraction(5)) == (1, 2)
+        assert c.coeffs == ((1,), (2,)) and c.label == "constant"
 
     def test_ray_and_arc(self):
         c = Curve.ray((0, 0), (1, 2))
         assert c.eval(Fraction(1, 2)) == (Fraction(1, 2), Fraction(1))
         a = Curve.arc((0, 0), (1, 0), (0, 1))
         assert a.eval(Fraction(2)) == (Fraction(2), Fraction(4))
+        assert not c.is_constant() and not a.is_constant()
 
-    def test_center_mismatch(self):
-        t = Polynomial.var("t", ("t",))
-        with pytest.raises(ValueError):
-            Curve((1,), (t,))
+    def test_eval_at_a_fraction(self):
+        c = Curve.arc((1, Fraction(1, 2)), (Fraction(2, 3), 0), (-1, 3), power=3)
+        assert c.coeffs == ((1, Fraction(2, 3), 0, -1), (Fraction(1, 2), 0, 0, 3))
+        t = Fraction(-3, 4)
+        assert c.eval(t) == (1 + Fraction(2, 3) * t - t**3, Fraction(1, 2) + 3 * t**3)
+        assert c.center == (1, Fraction(1, 2))
+        assert all(type(x) is Fraction for row in c.coeffs for x in row)
+
+    def test_arc_with_a_zero_direction(self):
+        # t^2 e_1: no linear term, yet not constant
+        a = Curve.arc((0, 0), (0, 0), (1, 0))
+        assert a.coeffs == ((0, 0, 1), (0, 0, 0)) and a.label == "arc d=(0,0) e=(1,0) pow=2"
+        assert not a.is_constant() and a.eval(Fraction(3)) == (9, 0)
+        assert Curve.ray((1, 1), (0, 0)).is_constant()
+
+    def test_coordinate_without_coefficients(self):
+        with pytest.raises(ValueError, match="constant coefficient"):
+            Curve(((1,), ()))
 
 
 class TestLimits:
@@ -336,6 +352,12 @@ def subs_poly_matrix(m, mapping):
     return [[entry.subs(mapping) for entry in row] for row in m]
 
 
+def substitution(curve, vars):
+    """The curve's coordinates as polynomials in t, keyed by ``vars``."""
+    t = ("t",)
+    return {v: Polynomial(t, {(d,): a for d, a in enumerate(c) if a}) for v, c in zip(vars, curve.coeffs)}
+
+
 def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
     """The Pluecker route to lim ker M(x(t)): a polynomial basis of one side
     over Q(t) (the Cramer kernel, or the content-free Bareiss echelon rows),
@@ -343,7 +365,7 @@ def pluecker_route_limit(m, curve, expected_dim, vars, side="kernel"):
     of the lowest power of t, and the subspace rebuilt from it.  Raises
     CurveNotGeneric with the engine's wording when the kernel over Q(t) has
     the wrong dimension."""
-    m_t = subs_poly_matrix(m, curve.substitution(vars))
+    m_t = subs_poly_matrix(m, substitution(curve, vars))
     n = len(m_t[0])
     kernel = algebra.kernel_basis_over_curve(m_t)
     if len(kernel) != expected_dim:
@@ -369,7 +391,7 @@ def row_side_valuation(m, curve, vars):
     """Lowest power of t among the maximal minors of the first rows of M(x(t))
     that are independent over Q(t), taken in row order: row i is taken when
     it raises the rank over Q(t) of the rows up to it."""
-    m_t = subs_poly_matrix(m, curve.substitution(vars))
+    m_t = subs_poly_matrix(m, substitution(curve, vars))
     ranks = [algebra.generic_rank(m_t[:i]) for i in range(len(m_t) + 1)]
     rows = [row for i, row in enumerate(m_t) if ranks[i + 1] > ranks[i]]
     if not rows:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from folcone import algebra
 from folcone.expr import OperatorWord, Polynomial, parse_operator, parse_polynomial
@@ -24,7 +26,7 @@ from folcone.symbols import (
     symbol_top,
     uea_product,
 )
-from folcone.symbols import _pencil_minimum, _rational_roots
+from folcone.symbols import _pencil_eigenvalues, _pencil_minimum
 
 XYZ = ("x", "y", "z")
 XYZ_XI = XYZ + ("xi1", "xi2", "xi3")
@@ -70,6 +72,82 @@ def oracle_apply(presentation, element: UEAElement, f: Polynomial):
             )
         total += to_sympy(word.coefficient, syms) * expr
     return sympy.expand(total)
+
+
+def identity(r):
+    return [[Fraction(int(i == j)) for j in range(r)] for i in range(r)]
+
+
+def congruent_pencil(w, diagonal):
+    """(W^T D W, W^T W) for an invertible W and D = diag(diagonal): the
+    pencil's roots are the diagonal, with multiplicity."""
+    r = len(w)
+    g = [[sum(Fraction(w[k][i] * w[k][j]) * diagonal[k] for k in range(r)) for j in range(r)] for i in range(r)]
+    m = [[Fraction(sum(w[k][i] * w[k][j] for k in range(r))) for j in range(r)] for i in range(r)]
+    return g, m
+
+
+LAM = ("lam",)
+
+
+def pencil_oracle(g, m, tol):
+    """``_pencil_minimum`` by the characteristic polynomial: det(G - lam M)
+    over Q[lam] (``bareiss_det``), each float eigenvalue snapped at the
+    bounds 10^0 ... 10^15 and kept when synthetic division by (lam - snap)
+    leaves remainder 0, and Sylvester's criterion on G - tol M by its
+    leading minors (``rational_det``)."""
+    r = len(g)
+    lam = Polynomial.var("lam", LAM)
+    char = algebra.bareiss_det(
+        [[Polynomial.const(a, LAM) - lam * Polynomial.const(b, LAM) for a, b in zip(*rows)] for rows in zip(g, m)]
+    )
+    work = [char.coefficient((d,)) for d in range(r, -1, -1)]  # descending
+    eigenvalues = _pencil_eigenvalues(g, m)
+    roots = []
+    for value in eigenvalues:
+        for bound in (10**e for e in range(16)):
+            cand = Fraction(value).limit_denominator(bound)
+            acc, quotient = Fraction(0), []
+            for c in work:
+                acc = acc * cand + c
+                quotient.append(acc)
+            if quotient.pop() == 0:
+                roots.append(cand)
+                work = quotient
+                break
+        else:
+            roots = None
+            break
+    exact = min(roots) if roots else None
+    fmin = float(exact) if exact is not None else min(eigenvalues)
+    shifted = [[a - tol * b for a, b in zip(*rows)] for rows in zip(g, m)]
+    positive = all(algebra.rational_det([row[:k] for row in shifted[:k]]) > 0 for k in range(1, r + 1))
+    return fmin, exact, positive
+
+
+PLANTED = [Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2), Fraction(-1), Fraction(7, 3)]
+
+
+@st.composite
+def pencil_cases(draw):
+    """(G, M, tol) with G = W^T B W and M = W^T W: B is block diagonal, the
+    planted rational roots (repeats allowed) beside a random symmetric
+    integer block, whose roots are mostly irrational."""
+    r = draw(st.integers(1, 4))
+    w = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r), min_size=r, max_size=r))
+    assume(algebra.rank(w) == r)
+    k = draw(st.integers(0, r))
+    planted = draw(st.lists(st.sampled_from(PLANTED), min_size=k, max_size=k))
+    b = [[Fraction(0)] * r for _ in range(r)]
+    for i, x in enumerate(planted):
+        b[i][i] = x
+    for i in range(k, r):
+        for j in range(i, r):
+            b[i][j] = b[j][i] = Fraction(draw(st.integers(-3, 3)))
+    g = [[sum(w[a][i] * b[a][c] * w[c][j] for a in range(r) for c in range(r)) for j in range(r)] for i in range(r)]
+    m = [[Fraction(sum(w[a][i] * w[a][j] for a in range(r))) for j in range(r)] for i in range(r)]
+    tol = draw(st.sampled_from(PLANTED + [Fraction(-3), Fraction(1, 3)]))
+    return g, m, tol
 
 
 class TestRealize:
@@ -387,22 +465,39 @@ class TestEllipticity:
                 element_from("sos", pre), pre.presentation, [(1, 0, 0)], convention="bogus"
             )
 
-    def test_rational_roots_snap_from_floats(self):
-        roots = [Fraction(1000000007, 3), Fraction(-2, 5), Fraction(7)]
-        coeffs = [Fraction(1)]  # ascending coefficients of prod (x - root)
-        for root in roots:
-            coeffs = [a - root * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
-        assert len(coeffs) == 4 and all(sum(c * r**i for i, c in enumerate(coeffs)) == 0 for r in roots)
-        found = _rational_roots(coeffs, [float(r) for r in roots])
-        assert sorted(found) == sorted(roots)
+    def test_pencil_snaps_large_rational_roots(self):
+        # G = W^T diag(roots) W and M = W^T W: the pencil's roots, one double
+        roots = [Fraction(1000000007, 3), Fraction(-2, 5), Fraction(7), Fraction(7)]
+        w = [[1, 2, 0, 1], [0, 1, -1, 0], [1, 0, 1, 2], [0, 1, 0, 1]]
+        g, m = congruent_pencil(w, roots)
+        assert _pencil_minimum(g, m, Fraction(0)) == (-0.4, Fraction(-2, 5), False)
+        assert _pencil_minimum(g, m, Fraction(-1, 2)) == (-0.4, Fraction(-2, 5), True)
 
-    def test_rational_roots_none_when_irrational(self):
-        # x^2 - 2: no snap of +-1.41421356... is an exact root
-        assert _rational_roots([Fraction(-2), Fraction(0), Fraction(1)], [-(2**0.5), 2**0.5]) is None
+    def test_pencil_irrational_roots_leave_no_exact_min(self):
+        # roots +-sqrt 2: no snap of +-1.41421356... is a root
+        g = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+        fmin, emin, pos = _pencil_minimum(g, identity(2), Fraction(-2))
+        assert abs(fmin + 2**0.5) < 1e-12 and emin is None and pos is True
+
+    def test_pencil_snap_counts_multiplicity(self):
+        # roots 1 and 11/10 -+ sqrt(2)/10: the root 0.958... snaps to 1 at
+        # bound 1 and takes the simple root 1, so the float 1.0 finds none
+        # left and the minimum is not exact
+        tenth = Fraction(1, 10)
+        g = [[Fraction(1), 0, 0], [0, Fraction(1), tenth], [0, tenth, Fraction(6, 5)]]
+        fmin, emin, pos = _pencil_minimum(g, identity(3), Fraction(0))
+        assert abs(fmin - (1.1 - 2**0.5 / 10)) < 1e-12 and emin is None and pos is True
+        assert pencil_oracle(g, identity(3), Fraction(0)) == (fmin, emin, pos)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pencil_cases())
+    def test_pencil_matches_the_characteristic_polynomial_route(self, case):
+        g, m, tol = case
+        assert _pencil_minimum(g, m, tol) == pencil_oracle(g, m, tol)
 
     def test_pencil_minimum_verdict(self):
         one, half = Fraction(1), Fraction(1, 2)
-        eye = [[one, Fraction(0)], [Fraction(0), one]]
+        eye = identity(2)
         # roots (3 +- sqrt 5)/2: no exact minimum, the verdict still exact
         g = [[one, one], [one, Fraction(2)]]
         fmin, emin, pos = _pencil_minimum(g, eye, Fraction(0))
