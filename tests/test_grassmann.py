@@ -265,6 +265,8 @@ class TestCurve:
         a = Curve.arc((0, 0), (1, 0), (0, 1))
         assert a.eval(Fraction(2)) == (Fraction(2), Fraction(4))
         assert not c.is_constant() and not a.is_constant()
+        with pytest.raises(ValueError, match="power"):
+            Curve.arc((0,), (1,), (1,), power=0)
 
     def test_eval_at_a_fraction(self):
         c = Curve.arc((1, Fraction(1, 2)), (Fraction(2, 3), 0), (-1, 3), power=3)
