@@ -32,10 +32,10 @@ from .foliation import (
     MissingStructureFunctions,
     Structure,
     anchor_matrix,
+    is_regular,
     isotropy_algebra,
     jacobi_flag,
     leaf_dimension_at,
-    regular_data,
     solve_structure_functions,
     strong_kernel_at,
 )
@@ -45,7 +45,7 @@ from .grassmann import (
     Subspace,
     ZeroPluckerLimit,
     annihilator,
-    limit_along_curve,
+    limit_along_curve_detailed,
     make_subspace,
     subspace_distance,
 )

@@ -57,7 +57,7 @@ def criterion_1() -> CriterionResult:
     so3 = load_preset("so3_r3").presentation
     failures = []
     for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1)):
-        sample = hn_fiber(so3, v, seed=0)
+        sample = hn_fiber(so3, v)
         expected = annihilator(make_subspace([tuple(Fraction(x) for x in v)]))
         if len(sample.spaces) != 1:
             failures.append(f"point {v}: {len(sample.spaces)} covector spaces, expected 1")
@@ -118,7 +118,7 @@ def criterion_3() -> CriterionResult:
     for d in (2, 3):
         p = load_preset(f"vanishing_origin_{d}").presentation
         origin = tuple(Fraction(0) for _ in range(d))
-        sample = hn_fiber(p, origin, seed=0)
+        sample = hn_fiber(p, origin)
         if not sample.spaces:
             failures.append(f"d={d}: empty fiber sample")
             continue
@@ -276,7 +276,7 @@ def _singular_sample(name: str, point, family):
     if family == "small":
         origin, curves, _ = _r4_fiber_points()
         return p, nash_fiber(p, point, curves)
-    return p, nash_fiber(p, point, seed=0)
+    return p, nash_fiber(p, point)
 
 
 @lru_cache(maxsize=None)
@@ -343,7 +343,7 @@ def criterion_9() -> CriterionResult:
     so3p = load_preset("so3_r3")
     so3 = so3p.presentation
     sos = UEAElement.from_words(so3p.operators["sos"], so3.vars)
-    rep = ellipticity_check(sos, so3, [(0, 0, 0), (1, 0, 0), (1, 1, 1)], tolerance=1e-9, seed=0)
+    rep = ellipticity_check(sos, so3, [(0, 0, 0), (1, 0, 0), (1, 1, 1)], tolerance=1e-9)
     if not rep.elliptic:
         failures.append("sum of squares not judged elliptic")
     for pv in rep.points:
@@ -352,7 +352,7 @@ def criterion_9() -> CriterionResult:
                 failures.append(f"fiber minimum {fv.exact_min} != 1 at {pv.point}")
                 break
     g1sq = UEAElement.from_words(so3p.operators["g1sq"], so3.vars)
-    rep2 = ellipticity_check(g1sq, so3, [(0, 0, 0)], tolerance=1e-9, seed=0)
+    rep2 = ellipticity_check(g1sq, so3, [(0, 0, 0)], tolerance=1e-9)
     if rep2.elliptic:
         failures.append("single square wrongly judged elliptic at the origin")
     witness = rep2.points[0].witness
@@ -364,7 +364,7 @@ def criterion_9() -> CriterionResult:
             failures.append("witness plane does not annihilate the symbol")
     debp = load_preset("debord_line")
     dsq = UEAElement.from_words(debp.operators["g1sq"], debp.presentation.vars)
-    rep3 = ellipticity_check(dsq, debp.presentation, [(0,), (2,)], tolerance=1e-9, seed=0)
+    rep3 = ellipticity_check(dsq, debp.presentation, [(0,), (2,)], tolerance=1e-9)
     if not rep3.elliptic:
         failures.append("line preset square not judged elliptic")
     return _result(9, title, failures, "verdicts and exact minima as expected")
@@ -382,11 +382,11 @@ T_EXACT = Fraction(1, 10**4)
 def _accepted_curves() -> list[tuple[FoliationPresentation, Curve, Subspace]]:
     """(presentation, curve, limit) for every accepted curve of the criteria 1-4 inputs."""
     so3 = load_preset("so3_r3").presentation
-    suites = [(so3, v, curve_family(v, seed=0)) for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1))]
+    suites = [(so3, v, curve_family(v)) for v in ((1, 0, 0), (0, 2, 0), (1, 1, 1))]
     suites += [(so3, (0, 0, 0), [ray]) for _, ray in _orthogonal_rays()]
     for d in (2, 3):
         p, origin = load_preset(f"vanishing_origin_{d}").presentation, (0,) * d
-        suites.append((p, origin, curve_family(origin, seed=0)))
+        suites.append((p, origin, curve_family(origin)))
     suites.append((load_preset("order2_r2").presentation, (0, 0), _order2_curves()))
     out = []
     for p, point, curves in suites:
@@ -481,11 +481,11 @@ def criterion_11() -> CriterionResult:
         point = tuple(Fraction(x) for x in point)
         iso = isotropy_algebra(so3, point)
         base_images = {
-            iso.project_subspace(v).basis for v in nash_fiber(so3, point, seed=0).limits
+            iso.project_subspace(v).basis for v in nash_fiber(so3, point).limits
         }
         h_at = [Polynomial.var(v, so3.vars).eval(point) for v in combo]
         aug_images = set()
-        for v in nash_fiber(aug, point, seed=0).limits:
+        for v in nash_fiber(aug, point).limits:
             mapped = []
             for row in v.basis:
                 vec = [row[i] + row[3] * h_at[i] for i in range(3)]

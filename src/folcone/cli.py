@@ -39,10 +39,10 @@ from .foliation import (
     FoliationPresentation,
     MissingStructureFunctions,
     default_strong_kernel_bound,
+    is_regular,
     isotropy_algebra,
     jacobi_flag,
     leaf_dimension_at,
-    regular_data,
     strong_kernel_at,
 )
 from .grassmann import Subspace
@@ -64,6 +64,10 @@ MAX_FLOW_STEPS = 100_000
 # arc degree of the curve family: each degree adds n arcs whose t-coefficient
 # rows grow with it, and an hn-fiber op on r4 at degree 64 already takes seconds
 MAX_ARC_DEGREE = 64
+# strong-kernel degree bound D: the degree-bounded system has C(D+n, n)*N
+# unknowns; in-process on a 2-CPU host, analyze r4_counterexample at one point
+# took 1.2 s at D = 16, 4.3 s at D = 24 and 14.6 s with a 743 MB peak at D = 32
+MAX_DEGREE_BOUND = 32
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +464,16 @@ def _parse_scenario(text: str, preset: Preset) -> dict[str, Any]:
 
 def _auto_scenarios(preset: Preset, seed: int) -> list[dict[str, Any]]:
     p = preset.presentation
-    _, is_regular = regular_data(p)
     rng = random.Random(seed)
     candidates = [
         tuple(Fraction(1) if i == 0 else Fraction(0) for i in range(p.dim)),
         tuple(Fraction(1) for _ in range(p.dim)),
         tuple(Fraction(1 + i) for i in range(p.dim)),
     ]
-    points = [m for m in candidates if is_regular(m)]
+    points = [m for m in candidates if is_regular(p, m)]
     while len(points) < 1:
         m = tuple(Fraction(rng.randint(-3, 3)) for _ in range(p.dim))
-        if is_regular(m):
+        if is_regular(p, m):
             points.append(m)
     out = []
     for i in range(min(2, p.num_generators)):
@@ -496,12 +499,11 @@ def cmd_poisson_check(args) -> tuple[Fields, int]:
         if args.scenario
         else _auto_scenarios(preset, args.seed)
     )
-    _, is_regular = regular_data(p)
     for sc in scenarios:
         _check_points(preset, [sc["point"]])
         if "eta" in sc:
             _check_points(preset, [sc["eta"]], what="eta")
-        if not is_regular(sc["point"]):
+        if not is_regular(p, sc["point"]):
             raise argparse.ArgumentTypeError(
                 f"flow start ({','.join(_vec(sc['point']))}) is a singular point; pick a regular one"
             )
@@ -562,8 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", help="write the JSON report to this file instead of stdout")
     report.add_argument("--timing", action="store_true", help="include wall time (breaks byte-identity)")
     bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--degree-bound", dest="degree_bound", type=_int_at_least(0), default=None,
-                       help="strong-kernel syzygy degree bound (default: max generator degree + dim)")
+    bound.add_argument("--degree-bound", dest="degree_bound", type=_int_at_least(0, MAX_DEGREE_BOUND),
+                       default=None, help="strong-kernel syzygy degree bound (default: max generator "
+                       f"degree + dim; at most {MAX_DEGREE_BOUND})")
     csv_dir = argparse.ArgumentParser(add_help=False)
     csv_dir.add_argument("--csv", help="directory for CSV emission of fibers/trajectories")
     curves = argparse.ArgumentParser(add_help=False)

@@ -172,14 +172,9 @@ def leaf_dimension_at(p: FoliationPresentation, m: Sequence) -> int:
     return algebra.rank(p.anchor_at(m))
 
 
-def regular_data(p: FoliationPresentation) -> tuple[int, Callable[[Sequence], bool]]:
-    """(generic rank r, predicate telling whether a point attains it)."""
-    r = p.generic_rank()
-
-    def is_regular(m: Sequence) -> bool:
-        return algebra.rank(p.anchor_at(m)) == r
-
-    return r, is_regular
+def is_regular(p: FoliationPresentation, m: Sequence) -> bool:
+    """Whether the anchor at m attains the generic rank."""
+    return leaf_dimension_at(p, m) == p.generic_rank()
 
 
 def kernel_at(p: FoliationPresentation, m: Sequence) -> Subspace:
@@ -465,15 +460,14 @@ def isotropy_algebra(
     # the table is antisymmetric (structure_defect enforces c_ij = -c_ji):
     # fill the pairs a < b, zero the diagonal and negate for b > a
     table: list[list[Vec]] = [[(Fraction(0),) * g_dim for _ in range(g_dim)] for _ in range(g_dim)]
-    helper = IsotropyAlgebra(point, ker, sker, quotient, (), degree_bound)
+    iso = IsotropyAlgebra(point, ker, sker, quotient, (), degree_bound)
     for a in range(g_dim):
         for b in range(a + 1, g_dim):
             w = _lift_bracket(c_at_m, reps[a], reps[b])
-            table[a][b] = helper.class_coordinates(w)
+            table[a][b] = iso.class_coordinates(w)
             table[b][a] = tuple(-x for x in table[a][b])
-    return IsotropyAlgebra(
-        point, ker, sker, quotient, tuple(tuple(row) for row in table), degree_bound
-    )
+    iso.bracket_table = tuple(tuple(row) for row in table)
+    return iso
 
 
 StructureAtPoint = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]

@@ -315,18 +315,19 @@ class LimitDetail:
 
 
 def limit_along_curve_detailed(
-    m: PolyMatrix, curve: Curve, expected_dim: int, vars: Sequence[str] | None = None
+    m: PolyMatrix, curve: Curve, expected_dim: int, vars: Sequence[str]
 ) -> LimitDetail:
     """Exact limit of ker M(x(t)) as t -> 0, by saturating the row lattice at t = 0.
 
-    M(x(t)) is formed as integer rows of t-coefficient lists (``_integer_rows``).
-    Its rank over Q(t), and its first rows in row order that are independent
-    over Q(t), come from one exact evaluation at t0 = B + 1, where B is the
-    product over the rows of max(1, the sum of the absolute values of the
-    row's coefficients).  Every minor of any set of rows is an integer
-    polynomial whose coefficients' absolute values sum to at most B, so by
-    Cauchy's bound none that is nonzero vanishes at t0: ranks at t0 are ranks
-    over Q(t), for the whole matrix and for every prefix of its rows.
+    M(x(t)) is formed as integer rows of t-coefficient lists (``_integer_rows``),
+    with curve coordinate i substituted for ``vars[i]``.  Its rank over Q(t),
+    and its first rows in row order that are independent over Q(t), come from
+    one exact evaluation at t0 = B + 1, where B is the product over the rows
+    of max(1, the sum of the absolute values of the row's coefficients).
+    Every minor of any set of rows is an integer polynomial whose
+    coefficients' absolute values sum to at most B, so by Cauchy's bound none
+    that is nonzero vanishes at t0: ranks at t0 are ranks over Q(t), for the
+    whole matrix and for every prefix of its rows.
 
     Those rows R(t) are a basis of the row space over Q(t).  While R(0) is
     rank-deficient, a primitive integer left-kernel vector c of R(0) makes
@@ -338,10 +339,6 @@ def limit_along_curve_detailed(
     The curve must be generically regular: the kernel of M(x(t)) over Q(t)
     must have dimension exactly ``expected_dim``; otherwise CurveNotGeneric.
     """
-    if vars is None:
-        if not m or not m[0]:
-            raise ValueError("cannot infer variables from an empty matrix")
-        vars = m[0][0].vars
     rows = _integer_rows(m, curve, vars)
     n_cols = len(m[0]) if m else 0
     needed_rank = n_cols - expected_dim
@@ -456,13 +453,6 @@ def _horner(entry: Sequence[int], t: int) -> int:
     for a in reversed(entry):
         value = value * t + a
     return value
-
-
-def limit_along_curve(
-    m: PolyMatrix, curve: Curve, expected_dim: int, vars: Sequence[str] | None = None
-) -> Subspace:
-    """lim_{t->0} ker M(x(t)), an exact subspace of dimension expected_dim."""
-    return limit_along_curve_detailed(m, curve, expected_dim, vars).limit
 
 
 # ---------------------------------------------------------------------------

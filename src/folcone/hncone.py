@@ -1,10 +1,11 @@
 """Nash blow-up fiber points and cone fibers, sampled along polynomial arcs.
 
-The fiber over a point m is sampled: every curve in a deterministic family
-centered at m either yields an exact Grassmannian limit of the kernel family
-(recorded, deduplicated) or is rejected as non-generic (logged).  Annihilators
-of the limits give the dual-side cone fiber.  Structural checks (sandwich
-inclusions, limit subalgebras, dimension laws) run exactly.
+The fiber over a point m is sampled along the curves the caller passes, by
+default ``curve_family(m)``: every curve either yields an exact Grassmannian
+limit of the kernel family (recorded, deduplicated) or is rejected as
+non-generic (logged).  Annihilators of the limits give the dual-side cone
+fiber.  Structural checks (sandwich inclusions, limit subalgebras, dimension
+laws) run exactly, on the kernel and strong kernel their caller computed once.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from . import algebra
 from .foliation import (
     FoliationPresentation,
     IsotropyAlgebra,
-    default_strong_kernel_bound,
     isotropy_algebra,
     kernel_at,
-    leaf_dimension_at,
     strong_kernel_at,
 )
 from .grassmann import Curve, CurveNotGeneric, Subspace, annihilator, limit_along_curve_detailed
@@ -66,16 +65,14 @@ def curve_family(
     direction_count: int | None = None,
     arc_degree: int = 2,
     seed: int = 0,
-    include_constant: bool = True,
 ) -> list[Curve]:
     """Deterministic-from-seed family of arcs centered at m.
 
-    Always contains the n axis rays; the default adds 2n diagonal rays and
+    Starts with the constant curve (rejected downstream at singular points)
+    and always contains the n axis rays; the default adds 2n diagonal rays and
     the n(n-1) canonical degree-2 arcs m + t e_i + t^2 e_j.  Extra seeded
     rational rays are appended until ``direction_count`` directions exist, or
     until every direction the draw can reach is present.
-    The constant curve is included by default; at singular points it is
-    rejected downstream, so including it is harmless.
     """
     center = tuple(Fraction(x) for x in m)
     n = len(center)
@@ -109,10 +106,7 @@ def curve_family(
         push([Fraction(rng.randint(-3, 3)) for _ in range(n)])
         attempts += 1
 
-    curves: list[Curve] = []
-    if include_constant:
-        curves.append(Curve.constant(center))
-    curves.extend(Curve.ray(center, d) for d in directions)
+    curves = [Curve.constant(center)] + [Curve.ray(center, d) for d in directions]
     if arc_degree >= 2:
         for i in range(n):
             for j in range(n):
@@ -135,19 +129,12 @@ def curve_family(
 # ---------------------------------------------------------------------------
 
 
-def nash_fiber(
-    p: FoliationPresentation,
-    m: Sequence,
-    curves: Sequence[Curve] | None = None,
-    *,
-    direction_count: int | None = None,
-    arc_degree: int = 2,
-    seed: int = 0,
-) -> NashFiberSample:
-    """Deduplicated exact limits of the kernel family along the curve family."""
+def nash_fiber(p: FoliationPresentation, m: Sequence, curves: Sequence[Curve] | None = None) -> NashFiberSample:
+    """Deduplicated exact limits of the kernel family along ``curves``
+    (default ``curve_family(m)``)."""
     point = tuple(Fraction(x) for x in m)
     if curves is None:
-        curves = curve_family(point, direction_count, arc_degree, seed)
+        curves = curve_family(point)
     r = p.generic_rank()
     expected = p.num_generators - r
     anchor = p.anchor()
@@ -184,19 +171,9 @@ def nash_fiber(
     return NashFiberSample(point, tuple(limits[i] for i in order), tuple(records))
 
 
-def hn_fiber(
-    p: FoliationPresentation,
-    m: Sequence,
-    curves: Sequence[Curve] | None = None,
-    *,
-    direction_count: int | None = None,
-    arc_degree: int = 2,
-    seed: int = 0,
-) -> HNFiberSample:
+def hn_fiber(p: FoliationPresentation, m: Sequence, curves: Sequence[Curve] | None = None) -> HNFiberSample:
     """Annihilators of the Nash-fiber limits; singleton {Im rho*_m} at regular m."""
-    nash = nash_fiber(
-        p, m, curves, direction_count=direction_count, arc_degree=arc_degree, seed=seed
-    )
+    nash = nash_fiber(p, m, curves)
     spaces = tuple(annihilator(v) for v in nash.limits)
     return HNFiberSample(nash.point, spaces, nash)
 
@@ -220,11 +197,11 @@ class SandwichReport:
         return not self.violations
 
 
-def sandwich_check(p: FoliationPresentation, sample: NashFiberSample, sker: Subspace) -> SandwichReport:
+def sandwich_check(sample: NashFiberSample, ker: Subspace, sker: Subspace) -> SandwichReport:
     """Exact check of Sker_D ⊆ V ⊆ ker for every sampled limit, given the
-    strong kernel Sker_D at the sample's point (``strong_kernel_at``, or the
-    ``sker`` of the isotropy algebra there)."""
-    ker = kernel_at(p, sample.point)
+    kernel and the strong kernel Sker_D at the sample's point (``kernel_at``
+    and ``strong_kernel_at``, or the ``ambient`` and ``sker`` of the isotropy
+    algebra there)."""
     lower, upper, violations = [], [], []
     for idx, v in enumerate(sample.limits):
         lo = v.contains_subspace(sker)
@@ -255,7 +232,9 @@ class SubalgebraReport:
 def limit_subalgebra_check(
     p: FoliationPresentation, sample: NashFiberSample, isotropy: IsotropyAlgebra
 ) -> SubalgebraReport:
-    """Each limit image V-bar is bracket-closed of codim r - dim(Im rho_m).
+    """Each limit image V-bar is bracket-closed of codim r - dim(Im rho_m),
+    where dim(Im rho_m) = N - dim ker(rho_m) is read off the isotropy
+    algebra's ambient kernel.
 
     V-bar is closed exactly when <w, [u_i, u_j]> = 0 for every w of a basis
     of its annihilator and every pair i < j of its basis (the bracket is
@@ -266,8 +245,7 @@ def limit_subalgebra_check(
     """
     if isotropy.point != sample.point:
         raise ValueError("isotropy must be computed at the sample's point")
-    r = p.generic_rank()
-    expected_codim = r - leaf_dimension_at(p, sample.point)
+    expected_codim = p.generic_rank() - (p.num_generators - isotropy.ambient.dim)
     forms = _integer_bracket_forms(isotropy.bracket_table)
     images, closed_flags, codim_flags, violations = [], [], [], []
     for idx, v in enumerate(sample.limits):
@@ -351,15 +329,14 @@ def cone_checks(
     p: FoliationPresentation, sample: NashFiberSample, degree_bound: int | None = None
 ) -> ConeChecks:
     """The sandwich check at the sample's point and, when the presentation
-    has structure functions, the limit-subalgebra check, from one strong
-    kernel: the isotropy algebra's when there is one."""
-    if degree_bound is None:
-        degree_bound = default_strong_kernel_bound(p)
+    has structure functions, the limit-subalgebra check, from one kernel and
+    one strong kernel at the point: the isotropy algebra's when there is one."""
     if not p.has_structure():
+        ker = kernel_at(p, sample.point)
         sker = strong_kernel_at(p, sample.point, degree_bound)
-        return ConeChecks(sandwich_check(p, sample, sker), None)
+        return ConeChecks(sandwich_check(sample, ker, sker), None)
     iso = isotropy_algebra(p, sample.point, degree_bound)
-    return ConeChecks(sandwich_check(p, sample, iso.sker), limit_subalgebra_check(p, sample, iso))
+    return ConeChecks(sandwich_check(sample, iso.ambient, iso.sker), limit_subalgebra_check(p, sample, iso))
 
 
 def hn_membership_distance(sample: HNFiberSample, xi: Sequence[float]) -> float:

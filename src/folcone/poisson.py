@@ -18,8 +18,8 @@ import numpy as np
 
 from . import algebra
 from .expr import Polynomial, PolyVectorField, with_fiber
-from .foliation import FoliationPresentation, regular_data
-from .grassmann import Curve
+from .foliation import FoliationPresentation, is_regular
+from .grassmann import Curve, CurveNotGeneric
 from .hncone import hn_fiber, hn_membership_distance
 
 
@@ -297,41 +297,28 @@ class InvarianceResult:
         return self.max_drift <= self.tolerance
 
 
-def _snap(value: float, denominator: int) -> Fraction:
-    return Fraction(value).limit_denominator(denominator)
-
-
-def hn_invariance_test(
-    p: FoliationPresentation,
-    flow: CovectorFlow,
-    *,
-    tol: float = 1e-6,
-    sample_count: int = 10,
-    snap_denominator: int = 10**9,
-) -> InvarianceResult:
+def hn_invariance_test(p: FoliationPresentation, flow: CovectorFlow, *, tol: float = 1e-6) -> InvarianceResult:
     """Measure the cone-membership drift of xi(t) along a flow from a regular point.
 
-    At sampled times the base point is snapped to a nearby rational point
-    (must remain regular), the fiber there is recomputed exactly, and the
-    distance from xi(t) to it is recorded; the snap radius is reported so it
-    can be added to the drift budget.
+    At 11 evenly spaced steps (all of them when there are fewer) the base
+    point is snapped to the nearest rational point of denominator at most
+    10^9 (it must remain regular), the fiber there is recomputed exactly, and
+    the distance from xi(t) to it is recorded; the snap radius is reported so
+    it can be added to the drift budget.
     """
-    _, is_regular = regular_data(p)
-    if not is_regular(flow.point):
+    if not is_regular(p, flow.point):
         raise ValueError("invariance test must start at a regular point")
     traj = flow.trajectory
     steps = len(traj.times) - 1
     n = p.dim
-    idxs = np.unique(np.linspace(0, steps, sample_count + 1).astype(int))
+    idxs = np.unique(np.linspace(0, steps, 11).astype(int))
     max_drift = 0.0
     max_snap = 0.0
     for s in idxs:
         state = traj.states[s]
-        snapped = tuple(_snap(v, snap_denominator) for v in state[:n])
+        snapped = tuple(Fraction(v).limit_denominator(10**9) for v in state[:n])
         snap_radius = float(np.linalg.norm(state[:n] - np.array([float(q) for q in snapped])))
-        if not is_regular(snapped):
-            from .grassmann import CurveNotGeneric
-
+        if not is_regular(p, snapped):
             raise CurveNotGeneric(f"snapped point {snapped} is not regular at time index {s}")
         fiber = hn_fiber(p, snapped, [Curve.constant(snapped)])
         drift = hn_membership_distance(fiber, state[n:])

@@ -35,13 +35,14 @@ from .foliation import FoliationPresentation
 
 
 class PresetError(ValueError):
-    """Preset file problem, carrying line (1-based) and column (1-based)."""
+    """Preset file problem, carrying line (1-based) and column (1-based); both
+    are None when the problem is with the file as a whole."""
 
-    def __init__(self, message: str, line: int, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: int | None = None, column: int = 1):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.message = message
         self.line = line
-        self.column = column
+        self.column = column if line is not None else None
 
 
 @dataclass
@@ -110,9 +111,9 @@ def parse_preset_text(text: str, source: str = "<string>") -> Preset:
         raise PresetError(f"unexpected line {line!r} outside any section", lineno)
 
     if vars_ is None:
-        raise PresetError("missing 'vars' declaration", 1)
+        raise PresetError("missing 'vars' declaration")
     if not generators:
-        raise PresetError("missing 'generators' section", 1)
+        raise PresetError("missing 'generators' section")
 
     gen_names = tuple(g for g, _, _ in generators)
     for i, (gname, _, lineno) in enumerate(generators):
@@ -163,7 +164,7 @@ def parse_preset_text(text: str, source: str = "<string>") -> Preset:
     try:
         presentation = FoliationPresentation(vars_, tuple(fields), structure, name=name)
     except ValueError as exc:
-        raise PresetError(f"invalid presentation: {exc}", 1) from exc
+        raise PresetError(f"invalid presentation: {exc}") from exc
 
     operators: dict[str, list[OperatorWord]] = {}
     for oname, expr, lineno in operator_lines:
@@ -207,8 +208,6 @@ def load_preset(name_or_path: str) -> Preset:
         try:
             text = path.read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise PresetError(f"cannot read preset file {name_or_path!r}: {exc}", 1) from None
+            raise PresetError(f"cannot read preset file {name_or_path!r}: {exc}") from None
         return parse_preset_text(text, source=str(path))
-    raise PresetError(
-        f"unknown preset {name_or_path!r}; builtins: {', '.join(BUILTIN_NAMES)}", 1
-    )
+    raise PresetError(f"unknown preset {name_or_path!r}; builtins: {', '.join(BUILTIN_NAMES)}")

@@ -29,7 +29,7 @@ from . import algebra
 from .expr import OperatorWord, Polynomial, PolyVectorField, merge_words, with_fiber
 from .foliation import FoliationPresentation
 from .grassmann import Subspace
-from .hncone import hn_fiber
+from .hncone import curve_family, hn_fiber
 
 
 class OddDegreeWarning(ValueError):
@@ -482,7 +482,7 @@ def ellipticity_check(
     verdicts = []
     for m in points:
         point = tuple(Fraction(x) for x in m)
-        sample = hn_fiber(p, point, direction_count=direction_count, arc_degree=arc_degree, seed=seed)
+        sample = hn_fiber(p, point, curve_family(point, direction_count, arc_degree, seed))
         form = _fiber_form(sigma, point) if k != 2 else None
         fibers = []
         for space in sample.spaces:

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folcone.cli import MAX_ARC_DEGREE, MAX_FLOW_STEPS, _json_text, _parse_scenario, build_parser, main
+from folcone.cli import (
+    MAX_ARC_DEGREE,
+    MAX_DEGREE_BOUND,
+    MAX_FLOW_STEPS,
+    _json_text,
+    _parse_scenario,
+    build_parser,
+    main,
+)
 from folcone.expr import parse_operator
 from folcone.hncone import curve_family
 from folcone.poisson import dual_vars
@@ -24,6 +32,28 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``folcone.foliation`` functions, patched
+    under every ``folcone`` module name bound to them; name -> call points."""
+    from folcone import foliation
+
+    calls = {name: [] for name in names}
+    for fname in names:
+        original = getattr(foliation, fname)
+
+        def counted(*args, _original=original, _calls=calls[fname], **kwargs):
+            _calls.append(args[1])
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("folcone") and getattr(module, fname, None) is original:
+                monkeypatch.setattr(module, fname, counted)
+    return calls
+
+
+NO_STRUCTURE_PRESET = "name nostructure\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dy\n"
 
 
 json_scalars = st.one_of(
@@ -110,6 +140,27 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(PresetError):
             load_preset("not_a_preset")
+
+    @pytest.mark.parametrize("name", ["TMP", "not_a_preset"])
+    def test_whole_file_errors_name_no_position(self, capsys, tmp_path, name):
+        code, out, err = run_cli(capsys, "analyze", name.replace("TMP", str(tmp_path)))
+        assert code == 2 and out == "" and "error:" in err and "(line" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("name novars\n\ngenerators\n  g1 = d/dx\n", "missing 'vars' declaration"),
+            ("name nogens\nvars x\n", "missing 'generators' section"),
+            ("name wrong\nvars x\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dx\n\nstructure\n  [g1, g2] = g2\n",
+             "invalid presentation: "),
+        ],
+        ids=["no-vars", "no-generators", "invalid-presentation"],
+    )
+    def test_whole_text_errors_carry_no_line(self, text, message):
+        with pytest.raises(PresetError) as err:
+            parse_preset_text(text)
+        assert err.value.line is None and err.value.column is None
+        assert str(err.value).startswith(message) and "(line" not in str(err.value)
 
     @pytest.mark.parametrize(
         "text, line",
@@ -374,6 +425,9 @@ class TestCommands:
             ("nash-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", str(MAX_ARC_DEGREE + 1)),
             ("hn-fiber", "so3_r3", "--point", "0,0,0", "--arc-degree", "1000000"),
             ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--arc-degree", str(MAX_ARC_DEGREE + 1)),
+            # the degree bound is capped on every command that solves a strong kernel
+            ("analyze", "so3_r3", "--degree-bound", str(MAX_DEGREE_BOUND + 1)),
+            ("hn-fiber", "so3_r3", "--point", "0,0,0", "--degree-bound", "1000000"),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, tmp_path, argv):
@@ -421,6 +475,28 @@ class TestCommands:
         argv += ["--op", "g1.g1", "--points", "1,0,0"] if command == "elliptic" else ["--point", "0,0,0"]
         assert build_parser().parse_args(argv).arc_degree == MAX_ARC_DEGREE
 
+    @pytest.mark.parametrize("command", ["analyze", "hn-fiber"])
+    def test_degree_bound_capped_at_the_limit(self, command):
+        # the cap itself parses (no op runs at it); one more is refused (see the bad-input rows)
+        argv = [command, "so3_r3", "--degree-bound", str(MAX_DEGREE_BOUND)]
+        argv += ["--point", "0,0,0"] if command == "hn-fiber" else []
+        assert build_parser().parse_args(argv).degree_bound == MAX_DEGREE_BOUND
+
+    def test_elliptic_fibers_follow_the_curve_flags(self, capsys):
+        # elliptic builds its curve family from the same three flags as hn-fiber
+        flags = ["--curves", "5", "--arc-degree", "3", "--seed", "4"]
+        elliptic = ["elliptic", "so3_r3", "--op", "sos", "--points", "0,0,0"]
+
+        def fiber_spaces(*flags):
+            code, out, err = run_cli(capsys, *elliptic, *flags)
+            assert code == 0, err
+            return [f["space"] for f in json.loads(out)["results"]["points"][0]["fibers"]]
+
+        code, out, err = run_cli(capsys, "hn-fiber", "so3_r3", "--point", "0,0,0", *flags)
+        assert code == 0, err
+        assert fiber_spaces(*flags) == json.loads(out)["results"]["covector_spaces"]
+        assert fiber_spaces(*flags) != fiber_spaces()
+
     def test_odd_degree_elliptic_exit_two(self, capsys):
         code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1", "--points", "1,0,0")
         assert code == 2 and "odd" in err
@@ -429,28 +505,30 @@ class TestCommands:
     def test_hn_fiber_solves_the_strong_kernel_once(self, capsys, monkeypatch, tmp_path, preset, point):
         # with structure functions the sandwich check reads the isotropy
         # algebra's strong kernel; without them it is solved directly
-        from folcone import foliation
-
         if preset is None:
             # [g1, g2] = d/dy is not a polynomial combination of d/dx, x*d/dy
             preset = str(tmp_path / "nostructure.preset")
-            (tmp_path / "nostructure.preset").write_text(
-                "name nostructure\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dy\n"
-            )
-        calls = []
-        original = foliation.strong_kernel_at
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("folcone") and getattr(module, "strong_kernel_at", None) is original:
-                monkeypatch.setattr(module, "strong_kernel_at", counted)
+            (tmp_path / "nostructure.preset").write_text(NO_STRUCTURE_PRESET)
+        calls = count_calls(monkeypatch, "strong_kernel_at")
         code, out, _ = run_cli(capsys, "hn-fiber", preset, "--point", point)
         report = json.loads(out)
         assert code == 0 and report["results"]["sandwich"]["ok"]
-        assert len(calls) == 1
+        assert len(calls["strong_kernel_at"]) == 1
+
+    def test_hn_fiber_computes_the_kernel_once(self, capsys, monkeypatch, tmp_path):
+        # the sandwich and subalgebra checks read the isotropy algebra's
+        # kernel, and the leaf dimension by rank-nullity from it
+        names = ("kernel_at", "leaf_dimension_at", "strong_kernel_at")
+        calls = count_calls(monkeypatch, *names)
+        code, _, err = run_cli(capsys, "hn-fiber", "r4_counterexample", "--point", "0,0,0,0")
+        assert code == 0, err
+        assert [len(calls[name]) for name in names] == [1, 0, 1]
+        # without structure functions: one kernel and one strong kernel, solved directly
+        (tmp_path / "nostructure.preset").write_text(NO_STRUCTURE_PRESET)
+        calls = count_calls(monkeypatch, *names)
+        code, _, err = run_cli(capsys, "hn-fiber", str(tmp_path / "nostructure.preset"), "--point", "0,0")
+        assert code == 0, err
+        assert [len(calls[name]) for name in names] == [1, 0, 1]
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         run_cli(capsys, "symbol", "debord_line", "--op", "g1.g1")

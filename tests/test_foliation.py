@@ -20,12 +20,12 @@ from folcone.foliation import (
     _membership_rows,
     anchor_matrix,
     default_strong_kernel_bound,
+    is_regular,
     isotropy_algebra,
     jacobi_flag,
     kernel_at,
     leaf_dimension_at,
     monomials_up_to,
-    regular_data,
     solve_structure_functions,
     strong_kernel_at,
     structure_defect,
@@ -126,19 +126,18 @@ class TestAnchor:
 
 class TestRegularData:
     def test_so3(self):
-        r, is_regular = regular_data(fresh_so3())
-        assert r == 2
-        assert is_regular((1, 0, 0)) and not is_regular((0, 0, 0))
+        p = fresh_so3()
+        assert p.generic_rank() == 2
+        assert is_regular(p, (1, 0, 0)) and not is_regular(p, (0, 0, 0))
 
     def test_line_all_regular(self):
         p = FoliationPresentation(("x",), (parse_vector_field("d/dx", ("x",)),))
-        r, is_regular = regular_data(p)
-        assert r == 1 and is_regular((0,)) and is_regular((5,))
+        assert p.generic_rank() == 1 and is_regular(p, (0,)) and is_regular(p, (5,))
 
     def test_gl2(self):
-        r, is_regular = regular_data(fresh_gl2())
-        assert r == 2
-        assert not is_regular((0, 0)) and is_regular((1, 0))
+        p = fresh_gl2()
+        assert p.generic_rank() == 2
+        assert not is_regular(p, (0, 0)) and is_regular(p, (1, 0))
 
     def test_leaf_dimension(self):
         so3 = fresh_so3()

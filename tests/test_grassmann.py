@@ -15,7 +15,6 @@ from folcone.grassmann import (
     CurveNotGeneric,
     Subspace,
     annihilator,
-    limit_along_curve,
     limit_along_curve_detailed,
     make_subspace,
     normalize_plucker,
@@ -291,25 +290,25 @@ class TestCurve:
 class TestLimits:
     def test_so3_scaled_direction(self):
         curve = Curve.ray((0, 0, 0), (0, 0, 1))
-        lim = limit_along_curve(so3_anchor(), curve, 1, XYZ)
+        lim = limit_along_curve_detailed(so3_anchor(), curve, 1, XYZ).limit
         assert lim.basis == ((0, 0, Fraction(1)),)
 
     def test_order2_diagonal(self):
         curve = Curve.ray((0, 0), (1, 1))
-        lim = limit_along_curve(order2_anchor(), curve, 4, XY)
+        lim = limit_along_curve_detailed(order2_anchor(), curve, 4, XY).limit
         expected = annihilator(make_subspace([(1, 1, 1, 0, 0, 0), (0, 0, 0, 1, 1, 1)]))
         assert lim == expected
 
     def test_constant_curve_at_regular_point(self):
         m = (1, 0, 0)
         curve = Curve.constant(m)
-        lim = limit_along_curve(so3_anchor(), curve, 1, XYZ)
+        lim = limit_along_curve_detailed(so3_anchor(), curve, 1, XYZ).limit
         rows = algebra.kernel_basis(algebra.eval_poly_matrix(so3_anchor(), m))
         assert lim == Subspace(3, tuple(rows))
 
     def test_singular_constant_curve_rejected(self):
         with pytest.raises(CurveNotGeneric):
-            limit_along_curve(so3_anchor(), Curve.constant((0, 0, 0)), 1, XYZ)
+            limit_along_curve_detailed(so3_anchor(), Curve.constant((0, 0, 0)), 1, XYZ)
 
     def test_sides_agree(self):
         # a 4-dimensional limit in Q^6: the Pluecker route on the kernel side
@@ -330,7 +329,7 @@ class TestLimits:
         assert limit_angle < 1e-2
 
     def test_scalar_stability_of_annihilators(self):
-        lim = limit_along_curve(so3_anchor(), Curve.ray((0, 0, 0), (1, 2, 2)), 1, XYZ)
+        lim = limit_along_curve_detailed(so3_anchor(), Curve.ray((0, 0, 0), (1, 2, 2)), 1, XYZ).limit
         dual = annihilator(lim)
         rng = random.Random(25)
         for _ in range(10):
@@ -487,7 +486,7 @@ class TestSaturationEngine:
         yx = ("y", "x")
         detail = limit_along_curve_detailed(order2_anchor(), curve, 4, yx)
         assert detail.limit == pluecker_route_limit(order2_anchor(), curve, 4, yx)
-        assert detail.limit != limit_along_curve(order2_anchor(), curve, 4, XY)
+        assert detail.limit != limit_along_curve_detailed(order2_anchor(), curve, 4, XY).limit
 
 
 class TestDistance:

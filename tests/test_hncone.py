@@ -10,7 +10,7 @@ from test_foliation import bracket_coords
 
 from folcone import algebra
 from folcone.expr import Polynomial, parse_vector_field
-from folcone.foliation import FoliationPresentation, isotropy_algebra, strong_kernel_at
+from folcone.foliation import FoliationPresentation, isotropy_algebra, kernel_at, strong_kernel_at
 from folcone.grassmann import Curve, annihilator, make_subspace
 from folcone.hncone import (
     NashFiberSample,
@@ -69,7 +69,7 @@ class TestCurveFamily:
             for v in itertools.product(range(-3, 4), repeat=n)
             if any(v) and math.gcd(*v) == 1
         }
-        family = curve_family((0,) * n, direction_count=10**8, arc_degree=1, include_constant=False)
+        family = curve_family((0,) * n, direction_count=10**8, arc_degree=1)[1:]  # past the constant curve
         assert {tuple(int(x) for x in c.label[len("ray d=("):-1].split(",")) for c in family} == reachable
 
 
@@ -108,8 +108,8 @@ class TestNashFiber:
         assert "not centered" in sample.curves_used[0].reason
 
     def test_determinism(self):
-        a = nash_fiber(so3(), (0, 0, 0), seed=3)
-        b = nash_fiber(so3(), (0, 0, 0), seed=3)
+        a = nash_fiber(so3(), (0, 0, 0), curve_family((0, 0, 0), seed=3))
+        b = nash_fiber(so3(), (0, 0, 0), curve_family((0, 0, 0), seed=3))
         assert a.limits == b.limits
         assert [r.label for r in a.curves_used] == [r.label for r in b.curves_used]
 
@@ -171,13 +171,13 @@ class TestChecks:
     def test_sandwich_so3_origin(self):
         p = so3()
         sample = nash_fiber(p, (0, 0, 0))
-        report = sandwich_check(p, sample, strong_kernel_at(p, (0, 0, 0)))
+        report = sandwich_check(sample, kernel_at(p, (0, 0, 0)), strong_kernel_at(p, (0, 0, 0)))
         assert report.ok and report.sker_dim == 0 and report.ker_dim == 3
 
     def test_sandwich_regular_point(self):
         p = so3()
         sample = nash_fiber(p, (1, 0, 0))
-        report = sandwich_check(p, sample, strong_kernel_at(p, (1, 0, 0)))
+        report = sandwich_check(sample, kernel_at(p, (1, 0, 0)), strong_kernel_at(p, (1, 0, 0)))
         assert report.ok and report.sker_dim == report.ker_dim == 1
 
     def test_cone_checks_without_structure_functions(self):

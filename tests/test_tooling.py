@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -46,3 +48,29 @@ def test_worker_set_up_pays_for_every_structure_solve(monkeypatch):
             record = worker.run_op(cli, argv)
             assert record["rc"] == 0, record["stderr"]
         assert calls == [], workload
+
+
+BENCH_PAIRS = TRACER.parent.parent / "tools" / "bench_pairs.py"
+
+
+def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, tmp_path):
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+
+    def refuse(*args):
+        raise AssertionError("a revision was exported or measured before the arguments were checked")
+
+    monkeypatch.setattr(bench_pairs, "export", refuse)
+    monkeypatch.setattr(bench_pairs, "measure", refuse)
+    (tmp_path / "file").write_text("")
+    for argv in (
+        ["--out", str(tmp_path)],  # a directory
+        ["--out", str(tmp_path / "missing" / "BENCH.json")],
+        ["--out", str(tmp_path / "file" / "BENCH.json")],
+        ["--out", str(tmp_path / "BENCH.json"), "--pairs", "1"],
+        ["--out", str(tmp_path / "BENCH.json"), "--pairs", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["HEAD", "HEAD", *argv])
+        assert exc.value.code == 2, argv

@@ -12,7 +12,9 @@ alternates from pair to pair.  The output records both revisions (commit
 and ``src`` tree), every run, and per workload and side the
 ``perfbench/baseline.py`` summary of each metric, with the number of pairs
 the change won on each, the seeds and the machine.  A run that exits
-non-zero is kept with its error and left out of the summary.
+non-zero is kept with its error and left out of the summary.  ``--pairs``
+below 2 or an ``--out`` that cannot be opened for writing exits 2 before
+either revision is exported.
 """
 
 from __future__ import annotations
@@ -94,9 +96,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision of the parent commit")
     ap.add_argument("change", help="git revision of the change")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=10, help="pairs per workload, at least 2 (default 10)")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    # fail before the first run: a summary needs two pairs, and the report is
+    # first written after every pair of the first workload has run
+    if args.pairs < 2:
+        ap.error(f"--pairs must be at least 2, got {args.pairs}")
+    try:
+        open(args.out, "a").close()
+    except OSError as exc:
+        ap.error(f"cannot write --out: {exc}")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
