@@ -34,28 +34,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def count_calls(monkeypatch, *names):
-    """Count the calls of the named ``folcone.foliation`` functions, patched
-    under every ``folcone`` module name bound to them; name -> call points."""
-    from folcone import foliation
-
-    calls = {name: [] for name in names}
-    for fname in names:
-        original = getattr(foliation, fname)
-
-        def counted(*args, _original=original, _calls=calls[fname], **kwargs):
-            _calls.append(args[1])
-            return _original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("folcone") and getattr(module, fname, None) is original:
-                monkeypatch.setattr(module, fname, counted)
-    return calls
-
-
-NO_STRUCTURE_PRESET = "name nostructure\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dy\n"
-
-
 json_scalars = st.one_of(
     st.none(),
     st.sampled_from([True, 1, False, 0, -0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
@@ -501,34 +479,39 @@ class TestCommands:
         code, _, err = run_cli(capsys, "elliptic", "so3_r3", "--op", "g1", "--points", "1,0,0")
         assert code == 2 and "odd" in err
 
-    @pytest.mark.parametrize("preset, point", [("so3_r3", "0,0,0"), ("vanishing_origin_2", "0,0"), (None, "0,0")])
+    @pytest.mark.parametrize(
+        "preset, point",
+        [("so3_r3", "0,0,0"), ("vanishing_origin_2", "0,0"), ("r4_counterexample", "0,0,0,0"), (None, "0,0")],
+    )
     def test_hn_fiber_solves_the_strong_kernel_once(self, capsys, monkeypatch, tmp_path, preset, point):
-        # with structure functions the sandwich check reads the isotropy
-        # algebra's strong kernel; without them it is solved directly
+        # with structure functions the sandwich and subalgebra checks read the
+        # isotropy algebra's kernel and strong kernel, and the leaf dimension
+        # by rank-nullity from that kernel; without them both are solved directly
+        from folcone import foliation
+
         if preset is None:
             # [g1, g2] = d/dy is not a polynomial combination of d/dx, x*d/dy
             preset = str(tmp_path / "nostructure.preset")
-            (tmp_path / "nostructure.preset").write_text(NO_STRUCTURE_PRESET)
-        calls = count_calls(monkeypatch, "strong_kernel_at")
+            (tmp_path / "nostructure.preset").write_text(
+                "name nostructure\nvars x y\n\ngenerators\n  g1 = d/dx\n  g2 = x*d/dy\n"
+            )
+        names = ("kernel_at", "leaf_dimension_at", "strong_kernel_at")
+        calls = dict.fromkeys(names, 0)
+        for fname in names:
+            original = getattr(foliation, fname)
+
+            def counted(*args, _original=original, _name=fname, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            # patched under every name bound to it, as hncone and cli import it by name
+            for name, module in list(sys.modules.items()):
+                if name.startswith("folcone") and getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, counted)
         code, out, _ = run_cli(capsys, "hn-fiber", preset, "--point", point)
         report = json.loads(out)
         assert code == 0 and report["results"]["sandwich"]["ok"]
-        assert len(calls["strong_kernel_at"]) == 1
-
-    def test_hn_fiber_computes_the_kernel_once(self, capsys, monkeypatch, tmp_path):
-        # the sandwich and subalgebra checks read the isotropy algebra's
-        # kernel, and the leaf dimension by rank-nullity from it
-        names = ("kernel_at", "leaf_dimension_at", "strong_kernel_at")
-        calls = count_calls(monkeypatch, *names)
-        code, _, err = run_cli(capsys, "hn-fiber", "r4_counterexample", "--point", "0,0,0,0")
-        assert code == 0, err
-        assert [len(calls[name]) for name in names] == [1, 0, 1]
-        # without structure functions: one kernel and one strong kernel, solved directly
-        (tmp_path / "nostructure.preset").write_text(NO_STRUCTURE_PRESET)
-        calls = count_calls(monkeypatch, *names)
-        code, _, err = run_cli(capsys, "hn-fiber", str(tmp_path / "nostructure.preset"), "--point", "0,0")
-        assert code == 0, err
-        assert [len(calls[name]) for name in names] == [1, 0, 1]
+        assert calls == {"kernel_at": 1, "leaf_dimension_at": 0, "strong_kernel_at": 1}
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         run_cli(capsys, "symbol", "debord_line", "--op", "g1.g1")
