@@ -47,6 +47,7 @@ from .grassmann import (
     annihilator,
     limit_along_curve_detailed,
     make_subspace,
+    point_distance,
     subspace_distance,
 )
 from .hncone import (
@@ -55,7 +56,6 @@ from .hncone import (
     cone_checks,
     curve_family,
     hn_fiber,
-    hn_membership_distance,
     limit_subalgebra_check,
     nash_fiber,
     sandwich_check,

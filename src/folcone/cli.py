@@ -68,6 +68,13 @@ MAX_ARC_DEGREE = 64
 # unknowns; in-process on a 2-CPU host, analyze r4_counterexample at one point
 # took 1.2 s at D = 16, 4.3 s at D = 24 and 14.6 s with a 743 MB peak at D = 32
 MAX_DEGREE_BOUND = 32
+# sphere samples per fiber for an elliptic verdict of degree > 2: the cost is
+# linear in the count; in-process, elliptic so3_r3 with the quartic
+# g1.g1.g1.g1+g2.g2.g2.g2+g3.g3.g3.g3 at 0,0,0 took 0.08 s at 8 samples,
+# 2.0 s at 800 and 21.9 s at 8,000
+MAX_SPHERE_SAMPLES = 1000
+# seeded integer draws for an automatic poisson-check start
+MAX_START_DRAWS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -250,11 +257,10 @@ def cmd_analyze(args) -> tuple[Fields, int]:
         "points": [],
     }
     for m in points:
-        leaf_dim = leaf_dimension_at(p, m)
-        entry: dict[str, Any] = {"point": _vec(m), "leaf_dimension": leaf_dim, "regular": leaf_dim == r}
         if p.has_structure():
             iso = isotropy_algebra(p, m, bound)
-            entry["strong_kernel"] = _subspace(iso.sker)
+            leaf_dim = p.num_generators - iso.ambient.dim  # rank-nullity on the kernel at m
+            entry: dict[str, Any] = {"strong_kernel": _subspace(iso.sker)}
             entry["isotropy"] = {
                 "dim": iso.dim,
                 "kernel_dim": iso.ambient.dim,
@@ -264,7 +270,9 @@ def cmd_analyze(args) -> tuple[Fields, int]:
                 ],
             }
         else:
-            entry["strong_kernel"] = _subspace(strong_kernel_at(p, m, bound))
+            leaf_dim = leaf_dimension_at(p, m)
+            entry = {"strong_kernel": _subspace(strong_kernel_at(p, m, bound))}
+        entry.update(point=_vec(m), leaf_dimension=leaf_dim, regular=leaf_dim == r)
         results["points"].append(entry)
     return {
         "parameters": {"preset": args.preset, "points": [_vec(m) for m in points], "degree_bound": bound},
@@ -471,8 +479,15 @@ def _auto_scenarios(preset: Preset, seed: int) -> list[dict[str, Any]]:
         tuple(Fraction(1 + i) for i in range(p.dim)),
     ]
     points = [m for m in candidates if is_regular(p, m)]
-    while len(points) < 1:
+    draws = 0
+    while not points:
+        if draws == MAX_START_DRAWS:
+            raise argparse.ArgumentTypeError(
+                f"no regular flow start among {MAX_START_DRAWS} seeded integer points in [-3,3]^{p.dim}; "
+                "name one with --scenario point=..."
+            )
         m = tuple(Fraction(rng.randint(-3, 3)) for _ in range(p.dim))
+        draws += 1
         if is_regular(p, m):
             points.append(m)
     out = []
@@ -494,11 +509,8 @@ def cmd_poisson_check(args) -> tuple[Fields, int]:
     p = preset.presentation
     if not p.has_structure():
         raise MissingStructureFunctions("no structure functions available for this preset")
-    scenarios = (
-        [_parse_scenario(s, preset) for s in args.scenario]
-        if args.scenario
-        else _auto_scenarios(preset, args.seed)
-    )
+    # automatic starts are drawn regular; a named start is checked here, once
+    scenarios = [_parse_scenario(s, preset) for s in args.scenario or ()]
     for sc in scenarios:
         _check_points(preset, [sc["point"]])
         if "eta" in sc:
@@ -507,6 +519,7 @@ def cmd_poisson_check(args) -> tuple[Fields, int]:
             raise argparse.ArgumentTypeError(
                 f"flow start ({','.join(_vec(sc['point']))}) is a singular point; pick a regular one"
             )
+    scenarios = scenarios or _auto_scenarios(preset, args.seed)
     csv_header = ["t"] + [f"x_{v}" for v in p.vars] + [f"xi_{k+1}" for k in range(p.num_generators)]
     scenario_results = []
     ok = True
@@ -607,7 +620,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--op", required=True)
     sp.add_argument("--points", type=_points_arg, required=True)
     sp.add_argument("--tol", type=_float_at_least(0), default=1e-9)
-    sp.add_argument("--sphere-samples", dest="sphere_samples", type=_int_at_least(1), default=8)
+    sp.add_argument("--sphere-samples", dest="sphere_samples", type=_int_at_least(1, MAX_SPHERE_SAMPLES), default=8,
+                    help=f"sphere samples per fiber for degree > 2 (at most {MAX_SPHERE_SAMPLES})")
     sp.add_argument("--convention", choices=("positive", "nonvanishing"), default="positive",
                     help="strict positivity (default) or nonvanishing |symbol|")
     sp.add_argument("--force-odd", dest="convention", action="store_const", const="nonvanishing",

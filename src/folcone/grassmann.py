@@ -469,6 +469,15 @@ def subspace_distance(v: Subspace, w: Subspace) -> float:
     return principal_angle(v.basis_floats(), w.basis_floats())
 
 
+def point_distance(v: Subspace, x: Sequence[float]) -> float:
+    """Euclidean distance from the float vector x to the subspace."""
+    x = np.asarray([float(c) for c in x], dtype=float)
+    if v.dim == 0:
+        return float(np.linalg.norm(x))
+    q, _ = np.linalg.qr(v.basis_floats().T)
+    return float(np.linalg.norm(x - q @ (q.T @ x)))
+
+
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Largest principal angle between the row spans of two float matrices
     with independent rows, the same number of each."""

@@ -6,6 +6,8 @@ limit of the kernel family (recorded, deduplicated) or is rejected as
 non-generic (logged).  Annihilators of the limits give the dual-side cone
 fiber.  Structural checks (sandwich inclusions, limit subalgebras, dimension
 laws) run exactly, on the kernel and strong kernel their caller computed once.
+Nothing here is in floats: the float distance from a covector to a fiber
+space is ``grassmann.point_distance``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
-
-import numpy as np
 
 from . import algebra
 from .foliation import (
@@ -337,19 +337,3 @@ def cone_checks(
         return ConeChecks(sandwich_check(sample, ker, sker), None)
     iso = isotropy_algebra(p, sample.point, degree_bound)
     return ConeChecks(sandwich_check(sample, iso.ambient, iso.sker), limit_subalgebra_check(p, sample, iso))
-
-
-def hn_membership_distance(sample: HNFiberSample, xi: Sequence[float]) -> float:
-    """min over sampled covector spaces of |xi - proj(xi)| (Euclidean)."""
-    x = np.asarray([float(v) for v in xi], dtype=float)
-    best = float("inf")
-    for space in sample.spaces:
-        if space.dim == 0:
-            dist = float(np.linalg.norm(x))
-        else:
-            q, _ = np.linalg.qr(space.basis_floats().T)
-            dist = float(np.linalg.norm(x - q @ (q.T @ x)))
-        best = min(best, dist)
-    if best == float("inf"):
-        raise ValueError("empty fiber sample")
-    return best

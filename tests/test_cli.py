@@ -13,6 +13,7 @@ from folcone.cli import (
     MAX_ARC_DEGREE,
     MAX_DEGREE_BOUND,
     MAX_FLOW_STEPS,
+    MAX_SPHERE_SAMPLES,
     _json_text,
     _parse_scenario,
     build_parser,
@@ -406,6 +407,9 @@ class TestCommands:
             # the degree bound is capped on every command that solves a strong kernel
             ("analyze", "so3_r3", "--degree-bound", str(MAX_DEGREE_BOUND + 1)),
             ("hn-fiber", "so3_r3", "--point", "0,0,0", "--degree-bound", "1000000"),
+            # so is the sphere sample count of an elliptic verdict
+            ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--sphere-samples", str(MAX_SPHERE_SAMPLES + 1)),
+            ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--sphere-samples", "1000000000"),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, tmp_path, argv):
@@ -460,6 +464,31 @@ class TestCommands:
         argv += ["--point", "0,0,0"] if command == "hn-fiber" else []
         assert build_parser().parse_args(argv).degree_bound == MAX_DEGREE_BOUND
 
+    def test_sphere_samples_capped_at_the_limit(self):
+        # the cap itself parses (no op runs at it); one more is refused (see the bad-input rows)
+        argv = ["elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--sphere-samples", str(MAX_SPHERE_SAMPLES)]
+        assert build_parser().parse_args(argv).sphere_samples == MAX_SPHERE_SAMPLES
+
+    def test_auto_scenarios_give_up_without_a_regular_start(self, capsys, tmp_path):
+        # every integer in [-3,3] is a zero of the field, as are the three fixed
+        # candidates (x = 1), so no seeded draw is regular; in a subprocess with
+        # a timeout a draw loop that never ends fails the test instead of hanging it
+        preset = tmp_path / "septic.preset"
+        preset.write_text("name septic\nvars x\n\ngenerators\n  g1 = x*(x-1)*(x-2)*(x-3)*(x+1)*(x+2)*(x+3)*d/dx\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "folcone.cli", "poisson-check", str(preset)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert len(errors) == 1 and "--scenario" in errors[0]
+        # a named regular start reports (short, as x' grows like x^7 from x = 5)
+        code, out, err = run_cli(capsys, "poisson-check", str(preset), "--scenario", "point=5;T=1/10000000;steps=100")
+        assert code == 0, err
+        assert json.loads(out)["results"]["ok"]
+
     def test_elliptic_fibers_follow_the_curve_flags(self, capsys):
         # elliptic builds its curve family from the same three flags as hn-fiber
         flags = ["--curves", "5", "--arc-degree", "3", "--seed", "4"]
@@ -512,6 +541,55 @@ class TestCommands:
         report = json.loads(out)
         assert code == 0 and report["results"]["sandwich"]["ok"]
         assert calls == {"kernel_at": 1, "leaf_dimension_at": 0, "strong_kernel_at": 1}
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            # 3 fixed candidate starts, then 11 sampled steps on each of 2 flows
+            (
+                ("poisson-check", "so3_r3"),
+                {"is_regular": 3, "leaf_dimension_at": 3, "kernel_at": 0, "echelon": 25, "sparse_rref": 22},
+            ),
+            # the named start once, then 11 sampled steps
+            (
+                ("poisson-check", "order2_r2", "--scenario", "point=0,1;gen=g2;eta=0,-2"),
+                {"is_regular": 1, "leaf_dimension_at": 1, "kernel_at": 0, "echelon": 12, "sparse_rref": 11},
+            ),
+            # one isotropy algebra at each of 3 default points
+            (
+                ("analyze", "r4_counterexample"),
+                {"is_regular": 0, "leaf_dimension_at": 0, "kernel_at": 3, "echelon": 17, "sparse_rref": 14},
+            ),
+        ],
+        ids=["poisson-check-auto", "poisson-check-scenario", "analyze-r4"],
+    )
+    def test_one_elimination_of_the_anchor_per_point(self, capsys, monkeypatch, argv, expected):
+        # a poisson-check flow reads the regular cone fiber off the anchor's row
+        # space at each sampled step, no arc limit; analyze reads the leaf
+        # dimension off the isotropy algebra's kernel by rank-nullity
+        from folcone import algebra, foliation, grassmann, hncone
+
+        p = load_preset(argv[1]).presentation
+        p.generic_rank(), p.structure()  # memoised, so that only the op's own work is counted
+        expected = {**expected, "hn_fiber": 0, "limit_along_curve_detailed": 0}
+        calls = dict.fromkeys(expected, 0)
+        for owner in (algebra, foliation, grassmann, hncone):
+            for fname in calls:
+                original = getattr(owner, fname, None)
+                if original is None or original.__module__ != owner.__name__:
+                    continue
+
+                def counted(*args, _original=original, _name=fname, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                # patched under every name bound to it, as the modules import it by name
+                for name, module in list(sys.modules.items()):
+                    if name.startswith("folcone") and getattr(module, fname, None) is original:
+                        monkeypatch.setattr(module, fname, counted)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert calls == expected
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         run_cli(capsys, "symbol", "debord_line", "--op", "g1.g1")

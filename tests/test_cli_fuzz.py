@@ -11,7 +11,7 @@ import tempfile
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from folcone.cli import main
+from folcone.cli import MAX_SPHERE_SAMPLES, main
 
 # builtin presets with their dimensions
 PRESETS = {"debord_line": 1, "so3_r3": 3, "vanishing_origin_2": 2, "order2_r2": 2}
@@ -28,6 +28,8 @@ op = st.one_of(
 )
 tol = st.one_of(number, st.just("1e-6"))
 curves = st.one_of(st.integers(-5, 30).map(str), st.sampled_from(["x", "", "1e3", "100000000"]))
+# below 1, non-integer, in range and above the cap
+sphere_samples = st.sampled_from(["0", "-1", "x", "1", "8", str(MAX_SPHERE_SAMPLES + 1), "100000000"])
 
 # flags drawn for every command.  Every command reads --seed and refuses a
 # negative one; the commands not named in READERS must refuse the other two.
@@ -75,8 +77,11 @@ def own_flags(draw, command, preset):
     if command == "symbol":
         return ["--op", draw(op)]
     if command == "elliptic":
-        return ["--op", draw(op), "--points", draw(points), "--tol", draw(tol), "--curves", draw(curves)]
-    return ["--scenario", draw(scenario(n)), "--tol", draw(tol)]
+        return ["--op", draw(op), "--points", draw(points), "--tol", draw(tol), "--curves", draw(curves),
+                "--sphere-samples", draw(sphere_samples)]
+    # without --scenario the starts are drawn automatically
+    scenarios = ["--scenario", draw(scenario(n))] if draw(st.booleans()) else []
+    return scenarios + ["--tol", draw(tol)]
 
 
 @st.composite
@@ -106,6 +111,9 @@ def test_every_command_line_reports_or_exits_two(argv):
     if curves.lstrip("-").isdigit() and int(curves) < 1:
         assert code == 2
     if "--tol" in argv and argv[argv.index("--tol") + 1].startswith("-"):
+        assert code == 2
+    samples = argv[argv.index("--sphere-samples") + 1] if "--sphere-samples" in argv else ""
+    if samples.lstrip("-").isdigit() and not 1 <= int(samples) <= MAX_SPHERE_SAMPLES:
         assert code == 2
     if code == 2:
         assert out.getvalue() == ""

@@ -11,13 +11,12 @@ from test_foliation import bracket_coords
 from folcone import algebra
 from folcone.expr import Polynomial, parse_vector_field
 from folcone.foliation import FoliationPresentation, isotropy_algebra, kernel_at, strong_kernel_at
-from folcone.grassmann import Curve, annihilator, make_subspace
+from folcone.grassmann import Curve, annihilator, make_subspace, point_distance
 from folcone.hncone import (
     NashFiberSample,
     cone_checks,
     curve_family,
     hn_fiber,
-    hn_membership_distance,
     limit_subalgebra_check,
     nash_fiber,
     sandwich_check,
@@ -302,20 +301,25 @@ class TestSubalgebraClosure:
 
 
 class TestMembershipDistance:
+    # grassmann.point_distance from a covector to sampled cone-fiber spaces
     def test_member_is_zero(self):
-        sample = hn_fiber(so3(), (1, 0, 0))
-        xi = sample.spaces[0].basis[0]
-        assert hn_membership_distance(sample, [float(x) for x in xi]) < 1e-14
+        (space,) = hn_fiber(so3(), (1, 0, 0)).spaces
+        assert point_distance(space, [float(x) for x in space.basis[0]]) < 1e-14
 
     def test_axis_sample_diagonal_covector(self):
+        # the three axis rays at the so3 origin give the three coordinate planes
         curves = [Curve.ray((0, 0, 0), d) for d in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
         sample = hn_fiber(so3(), (0, 0, 0), curves)
         xi = [1 / math.sqrt(3)] * 3
-        assert abs(hn_membership_distance(sample, xi) - 1 / math.sqrt(3)) < 1e-12
+        assert len(sample.spaces) == 3
+        assert abs(min(point_distance(v, xi) for v in sample.spaces) - 1 / math.sqrt(3)) < 1e-12
 
     def test_zero_covector(self):
         sample = hn_fiber(so3(), (0, 0, 0))
-        assert hn_membership_distance(sample, [0.0, 0.0, 0.0]) == 0.0
+        assert all(point_distance(v, [0.0, 0.0, 0.0]) == 0.0 for v in sample.spaces)
+
+    def test_zero_space_is_the_norm(self):
+        assert point_distance(make_subspace([], 3), [3.0, 4.0, 0.0]) == 5.0
 
 
 class TestPresentationIndependence:

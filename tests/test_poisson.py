@@ -4,9 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
-from folcone.foliation import FoliationPresentation, jacobi_flag
+from folcone.foliation import FoliationPresentation, is_regular, jacobi_flag
+from folcone.grassmann import Curve, make_subspace
+from folcone.hncone import hn_fiber
 from folcone.poisson import (
     DualPoint,
     NonFiniteState,
@@ -192,6 +196,21 @@ class TestInvariance:
     def test_singular_start_rejected(self):
         with pytest.raises(ValueError):
             hn_invariance_test(so3(), covector_flow(so3(), (0, 0, 0), (1, 1, 1), 0, 1.0, 10))
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_row_space_is_the_regular_cone_fiber(name, data):
+    # at a regular point every accepted arc has the limit ker A(m), so the cone
+    # fiber is one space, (ker A(m))° = the row space of A(m): the space that
+    # hn_invariance_test reads off the anchor
+    p = load_preset(name).presentation
+    coordinate = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    m = data.draw(st.tuples(*[coordinate] * p.dim).filter(lambda m: is_regular(p, m)))
+    row_space = make_subspace(p.anchor_at(m), p.num_generators)
+    assert hn_fiber(p, m).spaces == (row_space,)
+    assert hn_fiber(p, m, [Curve.constant(m)]).spaces == (row_space,)
 
 
 class TestCotangentLift:
