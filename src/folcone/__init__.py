@@ -61,7 +61,6 @@ from .hncone import (
     sandwich_check,
 )
 from .poisson import (
-    DualPoint,
     HamiltonianField,
     NonFiniteState,
     check_scenario,

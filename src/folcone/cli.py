@@ -8,7 +8,9 @@ fields it owns (``parameters`` and ``results``, plus ``bounds`` for
 ``command``, ``seed`` and ``timing_seconds`` and writes the JSON to stdout or
 to ``--out``.  Every refused input, whether argparse rejects it or a command
 raises, ends as one ``error:`` line on stderr and exit 2, with nothing on
-stdout; so does an ``--out`` or ``--csv`` path that cannot be written.
+stdout; so does an ``--out`` or ``--csv`` path that cannot be written, an
+exact value whose float is out of range (``OverflowError``), and a
+``poisson-check`` flow that reaches a singular point.
 
 All randomness is seeded (``--seed``, default 0) and reports are emitted as
 deterministic JSON (sorted keys, no timing unless ``--timing`` is passed), so
@@ -45,7 +47,7 @@ from .foliation import (
     leaf_dimension_at,
     strong_kernel_at,
 )
-from .grassmann import Subspace
+from .grassmann import CurveNotGeneric, Subspace
 from .hncone import cone_checks, curve_family, hn_fiber, nash_fiber
 from .poisson import NonFiniteState, check_scenario
 from .presets import BUILTIN_NAMES, Preset, PresetError, load_preset
@@ -348,11 +350,12 @@ def cmd_fiber(args) -> tuple[Fields, int]:
             results["subalgebra"] = {"ok": None, "note": "structure functions unavailable"}
         results["structure_bound_used"] = _structure_bound(p)
     if args.csv:
+        # a list, so that a coordinate beyond the float range fails before the file is opened
         _write_csv(
             args.csv,
             args.command.replace("-", "_"),
             ["space_index", "vector_index", "components..."],
-            ([i, j] + [float(x) for x in row] for i, s in enumerate(spaces) for j, row in enumerate(s.basis)),
+            [[i, j] + [float(x) for x in row] for i, s in enumerate(spaces) for j, row in enumerate(s.basis)],
         )
     parameters = {
         "preset": args.preset,
@@ -522,11 +525,15 @@ def cmd_poisson_check(args) -> tuple[Fields, int]:
     scenarios = scenarios or _auto_scenarios(preset, args.seed)
     csv_header = ["t"] + [f"x_{v}" for v in p.vars] + [f"xi_{k+1}" for k in range(p.num_generators)]
     scenario_results = []
+    trajectories = []
     ok = True
     for idx, sc in enumerate(scenarios):
         gen = sc.get("gen", 0)
         eta = sc.get("eta", tuple(Fraction(1) for _ in range(p.dim)))
-        res = check_scenario(p, sc["point"], eta, gen, sc.get("T", 1.0), sc.get("steps", 1000), tol=args.tol)
+        try:
+            res = check_scenario(p, sc["point"], eta, gen, sc.get("T", 1.0), sc.get("steps", 1000), tol=args.tol)
+        except CurveNotGeneric as exc:
+            raise argparse.ArgumentTypeError(f"scenario {idx}: {exc}; try a shorter T") from exc
         ok = ok and res.passed
         scenario_results.append(
             {
@@ -541,10 +548,10 @@ def cmd_poisson_check(args) -> tuple[Fields, int]:
             }
         )
         if args.csv:
-            traj = res.flow.trajectory
-            _write_csv(
-                args.csv, f"trajectory_{idx}", csv_header, ([t] + list(s) for t, s in zip(traj.times, traj.states))
-            )
+            trajectories.append(res.flow.trajectory)
+    # written once every scenario has run, so that a refused one leaves no CSV
+    for idx, traj in enumerate(trajectories):
+        _write_csv(args.csv, f"trajectory_{idx}", csv_header, ([t] + list(s) for t, s in zip(traj.times, traj.states)))
     parameters = {"preset": args.preset, "scenarios": args.scenario or "auto", "tolerance": args.tol}
     results = {"jacobi_flag": jacobi_flag(p), "scenarios": scenario_results, "ok": ok}
     return {"parameters": parameters, "results": results}, 0 if ok else 1
@@ -656,6 +663,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except NonFiniteState as exc:
         print(f"error: the flow left the finite range ({exc}); try a shorter T or more steps", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: a value is beyond the float range ({exc})", file=sys.stderr)
         return 2
     report = {
         "schema": SCHEMA_VERSION,

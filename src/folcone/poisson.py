@@ -2,11 +2,14 @@
 
 Given structure functions, the bracket on functions of (x, xi) is fixed by
 {xi_i, xi_j} = sum_k c_ij^k(x) xi_k and {xi_i, x_l} = (anchor)_{l i}(x).
-The Hamiltonian field of a constant combination a of generators is the unique
-polynomial field with H_a[xi_j] = ev_[a, e_j] and H_a[x_l] = rho(a)_l; both
-identities are verifiable exactly.  Flows are fixed-step RK4 (deterministic),
-and the invariance check measures xi(t) against the cone fiber at regular x,
-the one space Im rho*_x: the anchor's row space at x, computed exactly.
+The Hamiltonian field of a constant combination a of generators is built once,
+from the structure functions: H_a[xi_j] = ev_[a, e_j] and H_a[x_l] = rho(a)_l.
+The identity check compares the field's image of every coordinate with the
+Poisson bracket {ev_a, .} of that coordinate, exactly.  Flows are fixed-step
+RK4 (deterministic), and the invariance check measures xi(t) against the cone
+fiber at regular x, the one space Im rho*_x: the anchor's row space at x,
+computed exactly; a sampled base point that snaps onto the singular set raises
+``CurveNotGeneric`` with its time index.
 """
 
 from __future__ import annotations
@@ -25,18 +28,6 @@ from .grassmann import CurveNotGeneric, make_subspace, point_distance
 
 class NonFiniteState(RuntimeError):
     """The integrator produced a non-finite state (blow-up)."""
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """A float point of the dual bundle: base x in R^n, covector xi in R^N."""
-
-    x: tuple[float, ...]
-    xi: tuple[float, ...]
-
-    def __post_init__(self):
-        if not all(np.isfinite(self.x)) or not all(np.isfinite(self.xi)):
-            raise NonFiniteState("non-finite dual point")
 
 
 # ---------------------------------------------------------------------------
@@ -146,75 +137,35 @@ def hamiltonian_field(p: FoliationPresentation, a) -> HamiltonianField:
         if len(combo) != p.num_generators:
             raise ValueError("combination length must match the generator count")
     zero = Polynomial.zero(p.vars)
-    base_comps = [zero] * p.dim
-    for i, ci in enumerate(combo):
-        if ci == 0:
-            continue
-        base_comps = [
-            acc + ci * comp for acc, comp in zip(base_comps, p.generators[i].components)
-        ]
-    base = PolyVectorField(p.vars, tuple(base_comps))
-    fiber = []
-    for j in range(p.num_generators):
-        row = [zero] * p.num_generators
-        for i, ci in enumerate(combo):
-            if ci == 0:
-                continue
-            for k in range(p.num_generators):
-                c = structure[i][j][k]
-                if not c.is_zero():
-                    row[k] = row[k] + ci * c
-        fiber.append(tuple(row))
+    terms = [(ci, i) for i, ci in enumerate(combo) if ci]
+    base = sum((ci * p.generators[i] for ci, i in terms), PolyVectorField(p.vars, (zero,) * p.dim))
+    gens = range(p.num_generators)
+    fiber = [tuple(sum((ci * structure[i][j][k] for ci, i in terms), zero) for k in gens) for j in gens]
     return HamiltonianField(p, tuple(combo), base, tuple(fiber))
 
 
 def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -> list[str]:
-    """Exact check of both defining identities; empty list when they hold.
+    """Exact check of the field against the bracket; empty list when it holds.
 
-    H_a[ev_{e_j}] must equal ev_[a, e_j] and H_a[x_l] must equal rho(a)_l,
+    H_a = {ev_a, .}: the image of each fiber coordinate xi_j,
+    sum_k fiber_matrix[j][k] xi_k, must equal {ev_a, xi_j} = ev_[a, e_j], and
+    the image of each base coordinate x_l, rho(a)_l, must equal {ev_a, x_l},
     as polynomial identities on the dual bundle.
     """
-    structure = p.require_structure("the Hamiltonian identities")
-    defects = []
     names = dual_vars(p)
-    n, big_n = p.dim, p.num_generators
+    n = p.dim
     coords = [Polynomial.var(v, names) for v in names]
-    xi = coords[n:]
-
-    def h_apply(f: Polynomial) -> Polynomial:
-        out = Polynomial.zero(names)
-        for l in range(n):
-            df = f.diff(names[l])
-            if not df.is_zero():
-                out = out + h.base.components[l].lift(names) * df
-        for j in range(big_n):
-            df = f.diff(names[n + j])
-            if df.is_zero():
-                continue
-            phi_j = Polynomial.zero(names)
-            for k in range(big_n):
-                coeff = h.fiber_matrix[j][k]
-                if not coeff.is_zero():
-                    phi_j = phi_j + coeff.lift(names) * xi[k]
-            out = out + phi_j * df
-        return out
-
-    for j in range(big_n):
-        lhs = h_apply(xi[j])  # ev_{e_j} = xi_j
-        rhs = Polynomial.zero(names)
-        for i, ci in enumerate(h.combination):
-            if ci == 0:
-                continue
-            for k in range(big_n):
-                c = structure[i][j][k]
-                if not c.is_zero():
-                    rhs = rhs + ci * c.lift(names) * xi[k]
-        if lhs != rhs:
+    ev_a = ev(p, h.combination)
+    defects = []
+    for j, row in enumerate(h.fiber_matrix):
+        image = sum(
+            (c.lift(names) * xi_k for c, xi_k in zip(row, coords[n:], strict=True) if not c.is_zero()),
+            Polynomial.zero(names),
+        )
+        if image != poisson_bracket(p, ev_a, coords[n + j]):
             defects.append(f"H[ev_e{j+1}] != ev_[a,e{j+1}]")
-    for l in range(n):
-        lhs = h_apply(coords[l])
-        rhs = h.base.components[l].lift(names)
-        if lhs != rhs:
+    for l, component in enumerate(h.base.components):
+        if component.lift(names) != poisson_bracket(p, ev_a, coords[l]):
             defects.append(f"H[x_{l+1}] != rho(a)_{l+1}")
     return defects
 
@@ -253,11 +204,6 @@ def flow_rk4(rhs: Callable[[np.ndarray], np.ndarray], start: Sequence[float], t_
     return Trajectory(times, states)
 
 
-def flow_hamiltonian(h: HamiltonianField, start: DualPoint, t_final: float, steps: int) -> Trajectory:
-    y0 = list(start.x) + list(start.xi)
-    return flow_rk4(h.rhs_fn(), y0, t_final, steps)
-
-
 @dataclass(frozen=True)
 class CovectorFlow:
     """The H_a flow from (m, rho*_m eta): its exact start, field and trajectory."""
@@ -276,8 +222,7 @@ def covector_flow(
     eta_q = tuple(Fraction(x) for x in eta)
     xi0 = algebra.mat_vec(algebra.transpose(p.anchor_at(point)), eta_q)
     h = hamiltonian_field(p, a)
-    start = DualPoint(tuple(float(x) for x in point), tuple(float(x) for x in xi0))
-    return CovectorFlow(point, eta_q, h, flow_hamiltonian(h, start, t_final, steps))
+    return CovectorFlow(point, eta_q, h, flow_rk4(h.rhs_fn(), point + xi0, t_final, steps))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +264,8 @@ def hn_invariance_test(p: FoliationPresentation, flow: CovectorFlow, *, tol: flo
         snap_radius = float(np.linalg.norm(state[:n] - np.array([float(q) for q in snapped])))
         fiber = make_subspace(p.anchor_at(snapped), p.num_generators)
         if fiber.dim != p.generic_rank():
-            raise CurveNotGeneric(f"snapped point {snapped} is not regular at time index {s}")
+            where = ",".join(map(str, snapped))
+            raise CurveNotGeneric(f"the flow reaches the singular point ({where}) at time index {s}")
         drift = point_distance(fiber, state[n:])
         max_drift = max(max_drift, drift)
         max_snap = max(max_snap, snap_radius)

@@ -26,6 +26,9 @@ from folcone.presets import BUILTIN_NAMES, PresetError, load_preset, parse_prese
 from folcone.symbols import UEAElement, pullback_consistency
 
 
+# an exact integer whose float overflows only in products: 10^200
+BIG = "1" + "0" * 200
+
 REPORT_KEYS = {"schema", "version", "command", "parameters", "seed", "results", "timing_seconds"}
 
 
@@ -410,6 +413,13 @@ class TestCommands:
             # so is the sphere sample count of an elliptic verdict
             ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--sphere-samples", str(MAX_SPHERE_SAMPLES + 1)),
             ("elliptic", "so3_r3", "--op", "g1.g1", "--points", "1,0,0", "--sphere-samples", "1000000000"),
+            # a flow whose base point snaps onto the singular set (the origin, at time index 500)
+            ("poisson-check", "vanishing_origin_2", "--scenario", "point=1,0;gen=g11;T=-50"),
+            # exact values whose floats leave the float range: rho*_m eta is about 10^400
+            ("poisson-check", "so3_r3", "--scenario", f"point={BIG},0,0;gen=g1;eta=0,{BIG},0"),
+            ("elliptic", "so3_r3", "--op", "g1.g1+g2.g2", "--points", "1e200,1,0"),
+            ("elliptic", "so3_r3", "--op", "g1.g1.g1.g1+g2.g2.g2.g2", "--points", "1e400,0,0"),
+            ("nash-fiber", "so3_r3", "--point", "1,1e400,0", "--csv", "TMP/csv"),
         ],
     )
     def test_bad_input_exits_two_with_one_error_line(self, capsys, tmp_path, argv):
@@ -420,6 +430,18 @@ class TestCommands:
         assert code == 2 and out == ""
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "Traceback" not in err
+
+    def test_refused_runs_leave_no_csv_and_name_the_singular_time(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "nash-fiber", "so3_r3", "--point", "1,1e400,0", "--csv", str(tmp_path / "csv"))
+        assert code == 2 and not (tmp_path / "csv").exists()
+        code, _, err = run_cli(
+            capsys, "poisson-check", "vanishing_origin_2", "--csv", str(tmp_path / "flows"),
+            "--scenario", "point=1,0;gen=g11", "--scenario", "point=1,0;gen=g11;T=-50",
+        )
+        assert code == 2 and not (tmp_path / "flows").exists()
+        assert err == (
+            "error: scenario 1: the flow reaches the singular point (0,0) at time index 500; try a shorter T\n"
+        )
 
     def test_flow_steps_capped_at_the_limit(self):
         # the cap itself parses; one step more is refused before any flow runs

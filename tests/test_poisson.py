@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -7,19 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
+from folcone.expr import Polynomial, PolyVectorField, parse_polynomial, parse_vector_field
 from folcone.foliation import FoliationPresentation, is_regular, jacobi_flag
 from folcone.grassmann import Curve, make_subspace
 from folcone.hncone import hn_fiber
 from folcone.poisson import (
-    DualPoint,
     NonFiniteState,
     check_scenario,
     cotangent_lift_check,
     covector_flow,
     dual_vars,
     ev,
-    flow_hamiltonian,
     flow_rk4,
     hamiltonian_field,
     hamiltonian_identity_defect,
@@ -73,6 +72,22 @@ class TestHamiltonianField:
         for p in (so3(), gl2()):
             for i in range(p.num_generators):
                 assert hamiltonian_identity_defect(p, hamiltonian_field(p, i)) == []
+
+    def test_tampered_fiber_matrix_is_a_defect(self):
+        p = so3()
+        h = hamiltonian_field(p, 0)
+        fiber = [list(row) for row in h.fiber_matrix]
+        fiber[1][2] = fiber[1][2] + Polynomial.var("x", p.vars)
+        tampered = dataclasses.replace(h, fiber_matrix=tuple(map(tuple, fiber)))
+        assert hamiltonian_identity_defect(p, tampered) == ["H[ev_e2] != ev_[a,e2]"]
+
+    def test_tampered_base_component_is_a_defect(self):
+        p = so3()
+        h = hamiltonian_field(p, 0)
+        components = list(h.base.components)
+        components[2] = components[2] + Polynomial.one(p.vars)
+        tampered = dataclasses.replace(h, base=PolyVectorField(p.vars, tuple(components)))
+        assert hamiltonian_identity_defect(p, tampered) == ["H[x_3] != rho(a)_3"]
 
     def test_antisymmetry_of_fiber_parts(self):
         # H_a[ev_b] + H_b[ev_a] = 0 for antisymmetric structure functions
@@ -155,13 +170,12 @@ class TestFlows:
 
     def test_abelian_translation(self):
         h = hamiltonian_field(abelian(), 0)
-        traj = flow_hamiltonian(h, DualPoint((0.0, 0.0), (1.0, 2.0)), 1.0, 100)
+        traj = flow_rk4(h.rhs_fn(), [0.0, 0.0, 1.0, 2.0], 1.0, 100)
         assert np.allclose(traj.states[-1], [1.0, 0.0, 1.0, 2.0], atol=1e-14)
 
     def test_so3_circle_period(self):
         h = hamiltonian_field(so3(), 2)
-        start = DualPoint((1.0, 0.0, 0.0), (0.0, 0.0, -1.0))
-        traj = flow_hamiltonian(h, start, 2 * math.pi, 10**4)
+        traj = flow_rk4(h.rhs_fn(), [1.0, 0.0, 0.0, 0.0, 0.0, -1.0], 2 * math.pi, 10**4)
         assert np.linalg.norm(traj.states[-1][:3] - np.array([1.0, 0.0, 0.0])) < 1e-8
 
     def test_blow_up_detected(self):
@@ -169,9 +183,10 @@ class TestFlows:
             with pytest.raises(NonFiniteState):
                 flow_rk4(lambda y: y * y * 1e3, [10.0], 10.0, 60)
 
-    def test_non_finite_dual_point(self):
-        with pytest.raises(NonFiniteState):
-            DualPoint((float("nan"),), (0.0,))
+    def test_non_finite_start(self):
+        h = hamiltonian_field(abelian(), 0)
+        with pytest.raises(NonFiniteState, match="at step 1$"):
+            flow_rk4(h.rhs_fn(), [float("nan"), 0.0, 0.0, 0.0], 1.0, 10)
 
 
 class TestInvariance:
@@ -194,7 +209,7 @@ class TestInvariance:
         assert res.max_drift == 0.0
 
     def test_singular_start_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"singular point \(0,0,0\) at time index 0$"):
             hn_invariance_test(so3(), covector_flow(so3(), (0, 0, 0), (1, 1, 1), 0, 1.0, 10))
 
 
