@@ -44,7 +44,7 @@ from .foliation import (
     is_regular,
     isotropy_algebra,
     jacobi_flag,
-    leaf_dimension_at,
+    kernel_at,
     strong_kernel_at,
 )
 from .grassmann import CurveNotGeneric, Subspace
@@ -272,8 +272,9 @@ def cmd_analyze(args) -> tuple[Fields, int]:
                 ],
             }
         else:
-            leaf_dim = leaf_dimension_at(p, m)
-            entry = {"strong_kernel": _subspace(strong_kernel_at(p, m, bound))}
+            ker = kernel_at(p, m)
+            leaf_dim = p.num_generators - ker.dim
+            entry = {"strong_kernel": _subspace(strong_kernel_at(p, m, bound, ker))}
         entry.update(point=_vec(m), leaf_dimension=leaf_dim, regular=leaf_dim == r)
         results["points"].append(entry)
     return {

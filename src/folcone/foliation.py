@@ -9,8 +9,12 @@ solved on first use and memoised like the anchor and the generic rank.
 
 The strong kernel at a point m is approximated by degree-bounded syzygies:
 values f(m) of polynomial vectors f with sum_j f_j X_j = 0 identically and
-deg f <= D.  The isotropy algebra at m is ker(anchor at m) modulo that
-approximation, with the bracket induced by constant-coefficient lifts.
+deg f <= D.  The approximation is certified equal to the strong kernel at a
+regular point when D >= r * (max generator degree), r the generic rank, and
+at a homogeneous centre when D >= s, the spread of the column degrees there
+(``strong_kernel_at``); elsewhere it is not certified.  The isotropy algebra
+at m is ker(anchor at m) modulo that approximation, with the bracket induced
+by constant-coefficient lifts.
 """
 
 from __future__ import annotations
@@ -253,11 +257,25 @@ def _membership_rows(
 
 
 def strong_kernel_at(
-    p: FoliationPresentation, m: Sequence, degree_bound: int | None = None
+    p: FoliationPresentation, m: Sequence, degree_bound: int | None = None, ker: Subspace | None = None
 ) -> Subspace:
     """span{ f(m) : deg f <= D, sum_j f_j X_j = 0 identically }.
 
-    Monotone non-decreasing in D and always contained in ker(anchor at m).
+    Monotone non-decreasing in D and always contained in ker(anchor at m),
+    which the caller may pass as ``ker`` (it is computed otherwise).  The
+    result is the full strong kernel, the union over all D, in two certified
+    cases, and then it is found without a solve at D:
+
+    (a) m is regular (rank r = generic rank) and D >= r * (max generator
+        degree): the Cramer syzygies Delta e_k - sum_j Delta_j e_{i_j} have
+        degree <= r * deg and their values span the kernel, so the result
+        is ``ker`` and nothing is solved;
+    (b) recentred at m, every nonzero column X_k is homogeneous of some
+        degree d_k, and the spread s = max d_k - min d_k is <= D: syzygies
+        are graded, and a homogeneous one with a nonzero value at m has
+        every component of degree <= s, so the system is solved at s.
+
+    Elsewhere the result at D is not certified equal to the strong kernel.
     The system is recentred at m so the evaluation is the constant coefficient,
     and the N constant coefficients are its last unknowns.  One forward
     elimination (``algebra.echelon``) then leaves them the rows whose lead is
@@ -270,13 +288,33 @@ def strong_kernel_at(
         raise ValueError("degree bound must be non-negative")
     point = [Fraction(x) for x in m]
     big_n = p.num_generators
+    if ker is None:
+        ker = kernel_at(p, point)
+    r = p.generic_rank()
+    if big_n - ker.dim == r and degree_bound >= r * p.max_generator_degree():
+        return ker
     shifted = [[entry.shift(point) for entry in row] for row in p.anchor()]
+    spread = _degree_spread(shifted)
+    if spread is not None:
+        degree_bound = min(degree_bound, spread)
     monos = monomials_up_to(p.dim, degree_bound)
     first = big_n * (len(monos) - 1)
     rows = algebra.echelon(_membership_rows(shifted, monos, constants_last=True))
     tail = [{c - first: v for c, v in row.items()} for lead, row in rows.items() if lead >= first]
     values = algebra.kernel_vectors(algebra.sparse_rref(tail), big_n, range(big_n))
     return make_subspace(values, big_n)
+
+
+def _degree_spread(anchor: PolyMatrix) -> int | None:
+    """max d_k - min d_k when every nonzero column X_k of ``anchor`` is
+    homogeneous of degree d_k (0 when every column is zero), else None."""
+    degrees: set[int] = set()
+    for column in zip(*anchor):
+        column_degrees = {sum(e) for entry in column for e in entry.terms}
+        if len(column_degrees) > 1:
+            return None
+        degrees |= column_degrees
+    return max(degrees) - min(degrees) if degrees else 0
 
 
 def solve_structure_functions(
@@ -448,7 +486,7 @@ def isotropy_algebra(
         degree_bound = default_strong_kernel_bound(p)
     point = tuple(Fraction(x) for x in m)
     ker = kernel_at(p, point)
-    sker = strong_kernel_at(p, point, degree_bound)
+    sker = strong_kernel_at(p, point, degree_bound, ker)
     if not ker.contains_subspace(sker):
         raise RuntimeError("strong kernel escaped the kernel; inconsistent data")
     # representatives: kernel basis reduced modulo sker, re-echelonized

@@ -333,7 +333,7 @@ def cone_checks(
     one strong kernel at the point: the isotropy algebra's when there is one."""
     if not p.has_structure():
         ker = kernel_at(p, sample.point)
-        sker = strong_kernel_at(p, sample.point, degree_bound)
+        sker = strong_kernel_at(p, sample.point, degree_bound, ker)
         return ConeChecks(sandwich_check(sample, ker, sker), None)
     iso = isotropy_algebra(p, sample.point, degree_bound)
     return ConeChecks(sandwich_check(sample, iso.ambient, iso.sker), limit_subalgebra_check(p, sample, iso))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import folcone
 from folcone import algebra, foliation
-from folcone.expr import Polynomial, parse_polynomial, parse_vector_field
+from folcone.expr import Polynomial, PolyVectorField, parse_polynomial, parse_vector_field
 from folcone.foliation import (
     FoliationPresentation,
     MissingStructureFunctions,
@@ -215,6 +215,82 @@ def test_strong_kernel_of_r4_at_a_point_with_large_coordinates():
     s = strong_kernel_at(p, m)
     assert s == projected_strong_kernel(p, m, default_strong_kernel_bound(p))
     assert s.dim == 12
+
+
+def presentation(vars, *texts):
+    return FoliationPresentation(vars, tuple(parse_vector_field(t, vars) for t in texts))
+
+
+class TestStrongKernelCertificates:
+    @pytest.mark.parametrize(
+        "p",
+        # columns of degrees 0 and 1 at 0, so the spread is 1: x e1 - e2 is a
+        # syzygy of degree 1, and no constant one exists.  The first is regular
+        # at 0, where certificate (a) answers from bound 1 on; the second is
+        # singular there, so only the homogeneous solve at the spread answers
+        [presentation(("x",), "d/dx", "x*d/dx"), presentation(("x",), "x*d/dx", "x^2*d/dx")],
+        ids=["regular", "singular"],
+    )
+    def test_homogeneous_centre_is_solved_at_the_spread(self, p):
+        assert strong_kernel_at(p, (0,), 0).dim == 0
+        for bound in range(1, default_strong_kernel_bound(p) + 1):
+            s = strong_kernel_at(p, (0,), bound)
+            assert s == make_subspace([(0, 1)], 2) == projected_strong_kernel(p, (0,), bound)
+
+    def test_a_point_neither_regular_nor_homogeneous_falls_back(self):
+        # recentred at (0,1), x*y*d/dy has parts of degrees 1 and 2; the
+        # anchor vanishes there but the generic rank is 2
+        p = presentation(XY, "x*d/dx", "x^2*d/dy", "x*y*d/dy")
+        assert kernel_at(p, (0, 1)).dim == 3 and p.generic_rank() == 2
+        s = strong_kernel_at(p, (0, 1))
+        assert s.dim == 1 and s == projected_strong_kernel(p, (0, 1), default_strong_kernel_bound(p))
+
+    def test_regular_point_below_the_cramer_degree_is_solved(self):
+        # r4 is regular at 1,2,-1,3 with r * deg = 4; no constant syzygy exists
+        p = load_preset("r4_counterexample").presentation
+        assert strong_kernel_at(p, (1, 2, -1, 3), 0).dim == 0
+
+    def test_certified_points_solve_nothing_or_the_spread(self, monkeypatch):
+        p = load_preset("r4_counterexample").presentation
+        origin, regular = (0, 0, 0, 0), (1, 2, -1, 3)
+        kernels = {m: kernel_at(p, m) for m in (origin, regular)}
+        p.generic_rank()
+        systems, echelons = [], []
+        build, echelon = foliation._membership_rows, algebra.echelon
+        monkeypatch.setattr(foliation, "_membership_rows", lambda a, monos, **kw: systems.append(monos) or build(a, monos, **kw))
+        monkeypatch.setattr(algebra, "echelon", lambda rows: echelons.append(1) or echelon(rows))
+        assert strong_kernel_at(p, regular, ker=kernels[regular]) is kernels[regular]
+        assert systems == [] and echelons == []
+        assert strong_kernel_at(p, origin, ker=kernels[origin]).dim == 0
+        assert systems == [[(0, 0, 0, 0)]]
+
+
+@st.composite
+def homogeneous_presentations(draw):
+    """Presentations in 2-3 variables whose columns are homogeneous of degree
+    0-2 at the origin (a column may be zero), with a rational point."""
+    n = draw(st.integers(2, 3))
+    vars = XYZ[:n]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(0, 2))
+        of_degree = [e for e in monomials_up_to(n, degree) if sum(e) == degree]
+        components = []
+        for _ in range(n):
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(of_degree), max_size=len(of_degree)))
+            components.append(Polynomial(vars, {e: Fraction(c) for e, c in zip(of_degree, coeffs) if c}))
+        columns.append(PolyVectorField(vars, tuple(components)))
+    # 0 and 1 often, so that points off the origin are also singular at times
+    coordinate = st.one_of(st.sampled_from((Fraction(0), Fraction(1))), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    point = tuple(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    return FoliationPresentation(vars, tuple(columns)), point
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_presentations())
+def test_certified_strong_kernel_equals_the_full_projection(case):
+    p, m = case
+    assert strong_kernel_at(p, m) == projected_strong_kernel(p, m, default_strong_kernel_bound(p))
 
 
 class TestStructureFunctions:
