@@ -25,6 +25,10 @@ Hermite form over the local ring Q[t]_(t); the last R(0) spans the limit row
 space and the limit kernel is ker R(0).  No Pluecker vector over Q[t] is
 formed.  ``kernel_basis_over_curve`` with ``reconstruct_from_plucker`` is the
 older Pluecker route, kept as a test oracle.
+
+Only the float functions (``Subspace.basis_floats``, ``point_distance``,
+``principal_angle``) use numpy, and each imports it itself: the exact work
+never loads it.
 """
 
 from __future__ import annotations
@@ -33,12 +37,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import algebra
 from .algebra import PolyMatrix, Vec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CurveNotGeneric(ValueError):
@@ -112,6 +117,8 @@ class Subspace:
         return all(self.contains_vector(v) for v in other.basis)
 
     def basis_floats(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.basis], dtype=float)
 
     def __eq__(self, other):
@@ -471,6 +478,8 @@ def subspace_distance(v: Subspace, w: Subspace) -> float:
 
 def point_distance(v: Subspace, x: Sequence[float]) -> float:
     """Euclidean distance from the float vector x to the subspace."""
+    import numpy as np
+
     x = np.asarray([float(c) for c in x], dtype=float)
     if v.dim == 0:
         return float(np.linalg.norm(x))
@@ -481,6 +490,8 @@ def point_distance(v: Subspace, x: Sequence[float]) -> float:
 def principal_angle(a: np.ndarray, b: np.ndarray) -> float:
     """Largest principal angle between the row spans of two float matrices
     with independent rows, the same number of each."""
+    import numpy as np
+
     if len(a) == 0:
         return 0.0
     q1, _ = np.linalg.qr(a.T)

@@ -9,21 +9,24 @@ Poisson bracket {ev_a, .} of that coordinate, exactly.  Flows are fixed-step
 RK4 (deterministic), and the invariance check measures xi(t) against the cone
 fiber at regular x, the one space Im rho*_x: the anchor's row space at x,
 computed exactly; a sampled base point that snaps onto the singular set raises
-``CurveNotGeneric`` with its time index.
+``CurveNotGeneric`` with its time index.  The float functions (the flows and
+the checks along them) import numpy themselves, so the exact part of this
+module never loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import algebra
 from .expr import Polynomial, PolyVectorField, with_fiber
 from .foliation import FoliationPresentation
 from .grassmann import CurveNotGeneric, make_subspace, point_distance
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class NonFiniteState(RuntimeError):
@@ -47,42 +50,43 @@ def ev(p: FoliationPresentation, a: Sequence) -> Polynomial:
     return sum((Fraction(c) * xi_i for c, xi_i in zip(a, xi, strict=True)), Polynomial.zero(names))
 
 
-def poisson_bracket(p: FoliationPresentation, f: Polynomial, g: Polynomial) -> Polynomial:
-    """Exact bracket of two polynomial functions on the dual bundle."""
+def _coordinate_brackets(p: FoliationPresentation, f: Polynomial) -> list[Polynomial]:
+    """{f, w} for every dual coordinate w (x_1..x_n, then xi_1..xi_N), from
+    one pass over f's partial derivatives:
+    {f, x_l} = sum_i rho_li df/dxi_i and
+    {f, xi_j} = sum_{i,k} c_ij^k xi_k df/dxi_i - sum_l rho_lj df/dx_l."""
     structure = p.require_structure("the Poisson bracket")
     names = dual_vars(p)
-    if f.vars != names or g.vars != names:
+    if f.vars != names:
         raise ValueError("arguments must live on the dual bundle's variables")
-    n, big_n = p.dim, p.num_generators
-    anchor = p.anchor()
-    out = Polynomial.zero(names)
-    df_xi = [f.diff(names[n + i]) for i in range(big_n)]
-    dg_xi = [g.diff(names[n + j]) for j in range(big_n)]
-    df_x = [f.diff(names[l]) for l in range(n)]
-    dg_x = [g.diff(names[l]) for l in range(n)]
-    for i in range(big_n):
-        if df_xi[i].is_zero():
-            continue
-        for j in range(big_n):
-            if dg_xi[j].is_zero():
-                continue
-            for k in range(big_n):
-                c = structure[i][j][k]
-                if c.is_zero():
-                    continue
-                xi_k = Polynomial.var(names[n + k], names)
-                out = out + c.lift(names) * xi_k * df_xi[i] * dg_xi[j]
-    for i in range(big_n):
-        for l in range(n):
-            rho_li = anchor[l][i]
-            if rho_li.is_zero():
-                continue
-            lifted = rho_li.lift(names)
-            if not df_xi[i].is_zero() and not dg_x[l].is_zero():
-                out = out + lifted * df_xi[i] * dg_x[l]
-            if not df_x[l].is_zero() and not dg_xi[i].is_zero():
-                out = out - lifted * df_x[l] * dg_xi[i]
+    n = p.dim
+    zero = Polynomial.zero(names)
+    anchor = [[e.lift(names) for e in row] for row in p.anchor()]
+    xi = [Polynomial.var(v, names) for v in names[n:]]
+    df_xi = [(i, d) for i, d in enumerate(f.diff(v) for v in names[n:]) if not d.is_zero()]
+    df_x = [(l, d) for l, d in enumerate(f.diff(v) for v in names[:n]) if not d.is_zero()]
+    out = [sum((row[i] * d for i, d in df_xi if not row[i].is_zero()), zero) for row in anchor]
+    for j in range(len(xi)):
+        acc = zero
+        for i, d in df_xi:
+            for k, c in enumerate(structure[i][j]):
+                if not c.is_zero():
+                    acc = acc + c.lift(names) * xi[k] * d
+        for l, d in df_x:
+            if not anchor[l][j].is_zero():
+                acc = acc - anchor[l][j] * d
+        out.append(acc)
     return out
+
+
+def poisson_bracket(p: FoliationPresentation, f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact bracket of two polynomial functions on the dual bundle:
+    {f, g} = sum_w {f, w} dg/dw over the dual coordinates w."""
+    brackets = _coordinate_brackets(p, f)
+    names = f.vars
+    if g.vars != names:
+        raise ValueError("arguments must live on the dual bundle's variables")
+    return sum((b * g.diff(w) for b, w in zip(brackets, names) if not b.is_zero()), Polynomial.zero(names))
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +107,8 @@ class HamiltonianField:
     fiber_matrix: tuple[tuple[Polynomial, ...], ...]
 
     def rhs_fn(self) -> Callable[[np.ndarray], np.ndarray]:
+        import numpy as np
+
         n = self.presentation.dim
         big_n = self.presentation.num_generators
         base_fns = [c.as_float_fn() for c in self.base.components]
@@ -150,22 +156,23 @@ def hamiltonian_identity_defect(p: FoliationPresentation, h: HamiltonianField) -
     H_a = {ev_a, .}: the image of each fiber coordinate xi_j,
     sum_k fiber_matrix[j][k] xi_k, must equal {ev_a, xi_j} = ev_[a, e_j], and
     the image of each base coordinate x_l, rho(a)_l, must equal {ev_a, x_l},
-    as polynomial identities on the dual bundle.
+    as polynomial identities on the dual bundle.  The brackets of ev_a with
+    the coordinates are those ``poisson_bracket`` sums, taken once.
     """
     names = dual_vars(p)
     n = p.dim
-    coords = [Polynomial.var(v, names) for v in names]
-    ev_a = ev(p, h.combination)
+    xi = [Polynomial.var(v, names) for v in names[n:]]
+    brackets = _coordinate_brackets(p, ev(p, h.combination))
     defects = []
     for j, row in enumerate(h.fiber_matrix):
         image = sum(
-            (c.lift(names) * xi_k for c, xi_k in zip(row, coords[n:], strict=True) if not c.is_zero()),
+            (c.lift(names) * xi_k for c, xi_k in zip(row, xi, strict=True) if not c.is_zero()),
             Polynomial.zero(names),
         )
-        if image != poisson_bracket(p, ev_a, coords[n + j]):
+        if image != brackets[n + j]:
             defects.append(f"H[ev_e{j+1}] != ev_[a,e{j+1}]")
     for l, component in enumerate(h.base.components):
-        if component.lift(names) != poisson_bracket(p, ev_a, coords[l]):
+        if component.lift(names) != brackets[l]:
             defects.append(f"H[x_{l+1}] != rho(a)_{l+1}")
     return defects
 
@@ -183,6 +190,8 @@ class Trajectory:
 
 def flow_rk4(rhs: Callable[[np.ndarray], np.ndarray], start: Sequence[float], t_final: float, steps: int) -> Trajectory:
     """Classical fixed-step RK4; raises NonFiniteState on blow-up."""
+    import numpy as np
+
     if steps < 1:
         raise ValueError("steps must be >= 1")
     y = np.array([float(v) for v in start], dtype=float)
@@ -252,6 +261,8 @@ def hn_invariance_test(p: FoliationPresentation, flow: CovectorFlow, *, tol: flo
     is singular (``CurveNotGeneric``, a ValueError).  The distance from xi(t)
     to the fiber is recorded, and the snap radius for the drift budget.
     """
+    import numpy as np
+
     traj = flow.trajectory
     steps = len(traj.times) - 1
     n = p.dim
@@ -286,6 +297,8 @@ class LiftResult:
 def cotangent_lift_check(p: FoliationPresentation, flow: CovectorFlow, *, tol: float = 1e-6) -> LiftResult:
     """Compare the H_a flow of rho*_m eta against the cotangent-lifted flow
     of rho(a) from (m, eta), pushed through rho* at the transported base point."""
+    import numpy as np
+
     h, traj_h = flow.field, flow.trajectory
     # the same RK4 grid: linspace ends exactly at t_final
     steps = len(traj_h.times) - 1

@@ -15,21 +15,25 @@ realized operator, which the test suites check exactly.  The classical
 principal symbol lives on T*M in the same layout, with fiber coordinates
 eta_1..eta_n, and the pullback identity between the two is one
 substitution xi = rho(x)^T eta.
+
+numpy is imported only where floats are computed: the pencil eigenvalues and
+the sphere sampling of ``ellipticity_check``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import algebra
 from .expr import OperatorWord, Polynomial, PolyVectorField, merge_words, with_fiber
 from .foliation import FoliationPresentation
 from .grassmann import Subspace
 from .hncone import curve_family, hn_fiber
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class OddDegreeWarning(ValueError):
@@ -384,6 +388,19 @@ def _gram_of_quadratic(q: Polynomial, r: int) -> list[list[Fraction]]:
     return g
 
 
+def _gram(rows: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """The Gram matrix of the rows, exactly: each row's nonzero support is
+    read once, and only the columns where two supports overlap are
+    multiplied."""
+    supports = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    gram = [[Fraction(0)] * len(rows) for _ in rows]
+    for a, sa in enumerate(supports):
+        for b in range(a, len(rows)):
+            sb = supports[b]
+            gram[a][b] = gram[b][a] = sum((x * sb[j] for j, x in sa.items() if j in sb), Fraction(0))
+    return gram
+
+
 def _positive_definite(m: list[list[Fraction]]) -> bool:
     """Sylvester's criterion by one elimination pass without pivoting: the
     k-th leading minor of a symmetric matrix is the product of the first k
@@ -404,6 +421,8 @@ def _positive_definite(m: list[list[Fraction]]) -> bool:
 def _pencil_eigenvalues(g: list[list[Fraction]], gram: list[list[Fraction]]) -> list[float]:
     """Float eigenvalues of the pencil (G, M), ascending, by a Cholesky
     reduction of M."""
+    import numpy as np
+
     g_np = np.array([[float(x) for x in row] for row in g])
     m_np = np.array([[float(x) for x in row] for row in gram])
     inv = np.linalg.inv(np.linalg.cholesky(m_np))
@@ -468,6 +487,8 @@ def ellipticity_check(
     |symbol|, so negative-definite symbols also count as elliptic); odd
     degrees are only meaningful under "nonvanishing".
     """
+    import numpy as np
+
     if convention not in ("positive", "nonvanishing"):
         raise ValueError("convention must be 'positive' or 'nonvanishing'")
     nonvanishing = convention == "nonvanishing"
@@ -491,16 +512,7 @@ def ellipticity_check(
                 fv = FiberVerdict(space, 0.0, Fraction(0), True, False)
             elif k == 2:
                 gram_symbol = _gram_of_quadratic(restricted, space.dim)
-                gram_basis = [
-                    [
-                        sum(
-                            (space.basis[a][j] * space.basis[b][j] for j in range(space.ambient_dim)),
-                            Fraction(0),
-                        )
-                        for b in range(space.dim)
-                    ]
-                    for a in range(space.dim)
-                ]
+                gram_basis = _gram(space.basis)
                 fmin, emin, pos = _pencil_minimum(gram_symbol, gram_basis, tol_exact)
                 if nonvanishing and not pos:
                     # negative-definite restrictions are nonvanishing too; the
@@ -548,6 +560,8 @@ def _sphere_minimum_on_space(
     seed: int,
     use_abs: bool,
 ) -> float:
+    import numpy as np
+
     def value(xi: np.ndarray) -> float:
         total = 0.0
         for exp, coeff in form:

@@ -746,6 +746,31 @@ class TestCommands:
         assert code == 0
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
+    def test_exact_commands_do_not_load_numpy(self):
+        # numpy is imported only on the float paths (elliptic, poisson-check,
+        # selftest); a fresh interpreter shows what the exact commands load
+        script = """
+import contextlib, io, sys
+import folcone
+from folcone import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(argv)) == 0, argv
+
+run("analyze", "so3_r3")
+run("nash-fiber", "so3_r3", "--point", "0,0,0")
+run("hn-fiber", "so3_r3", "--point", "0,0,0")
+run("symbol", "so3_r3", "--op", "g1.g1+g2.g2+g3.g3")
+run("analyze", "r4_counterexample", "--points=1,2,-1,3")
+print("numpy" in sys.modules)
+run("elliptic", "so3_r3", "--op", "g1.g1+g2.g2+g3.g3", "--points", "1,0,0")
+print("numpy" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "folcone.cli", "analyze", "debord_line"],

@@ -26,7 +26,7 @@ from folcone.symbols import (
     symbol_top,
     uea_product,
 )
-from folcone.symbols import _pencil_eigenvalues, _pencil_minimum
+from folcone.symbols import _gram, _pencil_eigenvalues, _pencil_minimum
 
 XYZ = ("x", "y", "z")
 XYZ_XI = XYZ + ("xi1", "xi2", "xi3")
@@ -464,6 +464,21 @@ class TestEllipticity:
             ellipticity_check(
                 element_from("sos", pre), pre.presentation, [(1, 0, 0)], convention="bogus"
             )
+
+    def test_gram_matches_the_dense_sum(self):
+        # seeded sparse rational bases, empty rows and no rows included
+        rng = random.Random(0)
+        for _ in range(200):
+            width = rng.randint(1, 16)
+            density = rng.choice([0.0, 0.1, 0.3, 1.0])
+            rows = [
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) if rng.random() < density else Fraction(0) for _ in range(width)]
+                for _ in range(rng.randint(0, 6))
+            ]
+            dense = [[sum((a[j] * b[j] for j in range(width)), Fraction(0)) for b in rows] for a in rows]
+            gram = _gram(rows)
+            assert gram == dense
+            assert all(type(x) is Fraction for row in gram for x in row)
 
     def test_pencil_snaps_large_rational_roots(self):
         # G = W^T diag(roots) W and M = W^T W: the pencil's roots, one double

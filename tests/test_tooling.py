@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,10 +54,15 @@ def test_worker_set_up_pays_for_every_structure_solve(monkeypatch):
 BENCH_PAIRS = TRACER.parent.parent / "tools" / "bench_pairs.py"
 
 
-def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, tmp_path):
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, tmp_path):
+    bench_pairs = load_bench_pairs()
 
     def refuse(*args):
         raise AssertionError("a revision was exported or measured before the arguments were checked")
@@ -74,3 +80,33 @@ def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, tmp_path)
         with pytest.raises(SystemExit) as exc:
             bench_pairs.main(["HEAD", "HEAD", *argv])
         assert exc.value.code == 2, argv
+
+
+def test_bench_pairs_records_each_runs_wall_time(monkeypatch):
+    bench_pairs = load_bench_pairs()
+    # the clock is read once before the runner is called and once after it returns
+    clock = iter([10.0, 12.5, 20.0, 21.25])
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: next(clock)))
+    result = {
+        "correct": True,
+        "attempted": 3,
+        "failed": 0,
+        "metrics": {"setup_s": {"value": 0.1}},
+        "detail": {"machine.calib_s": 0.2},
+    }
+
+    def fail(*args):
+        raise SystemExit("worker exited with 1")
+
+    run = bench_pairs.measure(SimpleNamespace(run=lambda *args: result), "r4_cone", 0, 38, ["setup_s"])
+    assert run == {
+        "seed": 0,
+        "correct": True,
+        "attempted": 3,
+        "failed": 0,
+        "setup_s": 0.1,
+        "machine.calib_s": 0.2,
+        "wall_s": 2.5,
+    }
+    error = bench_pairs.measure(SimpleNamespace(run=fail), "r4_cone", 1, 38, ["setup_s"])
+    assert error == {"seed": 1, "error": "worker exited with 1", "wall_s": 1.25}

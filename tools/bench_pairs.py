@@ -11,8 +11,10 @@ export runs seed i once through its own ``perfbench/baseline.py`` runner
 alternates from pair to pair.  The output records both revisions (commit
 and ``src`` tree), every run, and per workload and side the
 ``perfbench/baseline.py`` summary of each metric, with the number of pairs
-the change won on each, the seeds and the machine.  A run that exits
-non-zero is kept with its error and left out of the summary.  ``--pairs``
+the change won on each, the seeds and the machine.  Each run also records
+``wall_s``, its wall time from the call of the runner until it returns,
+set-up, loop and report checks together.  A run that exits non-zero is kept
+with its error and its wall time and left out of the summary.  ``--pairs``
 below 2 or an ``--out`` that cannot be opened for writing exits 2 before
 either revision is exported.
 """
@@ -27,6 +29,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,10 +56,12 @@ def load_baseline(root: Path, name: str):
 
 
 def measure(baseline, workload: str, seed: int, seconds: int, metrics: list[str]) -> dict:
+    start = time.perf_counter()
     try:
         result = baseline.run(workload, seed, seconds, 0)
     except (SystemExit, subprocess.TimeoutExpired) as exc:
-        return {"seed": seed, "error": str(exc)[-800:]}
+        return {"seed": seed, "error": str(exc)[-800:], "wall_s": round(time.perf_counter() - start, 3)}
+    wall_s = round(time.perf_counter() - start, 3)
     return {
         "seed": seed,
         "correct": result["correct"],
@@ -64,6 +69,7 @@ def measure(baseline, workload: str, seed: int, seconds: int, metrics: list[str]
         "failed": result["failed"],
         **{m: result["metrics"][m]["value"] for m in metrics},
         "machine.calib_s": result["detail"]["machine.calib_s"],
+        "wall_s": wall_s,
     }
 
 
