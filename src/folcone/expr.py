@@ -253,15 +253,22 @@ class Polynomial:
             total += term
         return total
 
-    def as_float_fn(self):
-        """Compile a fast ``f(values_sequence) -> float`` evaluator."""
+    def float_expr(self, args: Sequence[str]) -> str:
+        """Python source of the float value at the point named by ``args``,
+        one name per variable: ``repr(float(c))*a*a*b...`` for each term in
+        term order, joined by ``+`` ("0.0" for zero), so that it runs in the
+        same operation order wherever it is written."""
         parts = []
         for exp, c in self.terms.items():
             factors = [repr(float(c))]
-            for i, e in enumerate(exp):
-                factors.extend([f"v[{i}]"] * e)
+            for name, e in zip(args, exp, strict=True):
+                factors.extend([name] * e)
             parts.append("*".join(factors))
-        body = " + ".join(parts) if parts else "0.0"
+        return " + ".join(parts) if parts else "0.0"
+
+    def as_float_fn(self):
+        """Compile a fast ``f(values_sequence) -> float`` evaluator."""
+        body = self.float_expr([f"v[{i}]" for i in range(len(self.vars))])
         return eval(f"lambda v: {body}")  # noqa: S307 - source generated above
 
     def subs(self, mapping: Mapping[str, "Polynomial"]) -> "Polynomial":

@@ -9,15 +9,24 @@ Poisson bracket {ev_a, .} of that coordinate, exactly.  Flows are fixed-step
 RK4 (deterministic), and the invariance check measures xi(t) against the cone
 fiber at regular x, the one space Im rho*_x: the anchor's row space at x,
 computed exactly; a sampled base point that snaps onto the singular set raises
-``CurveNotGeneric`` with its time index.  The float functions (the flows and
-the checks along them) import numpy themselves, so the exact part of this
-module never loads it.
-"""
+``CurveNotGeneric`` with its time index.
 
+The float layer is generated straight-line Python on floats: each field, the
+RK4 step for each state length, and the anchor of the lift check are written
+once from the per-term expressions of ``Polynomial.float_expr``, in the same
+operation order as numpy's elementwise arithmetic, so every state is the same
+bit for bit.  numpy stores the states, takes the norms, and computes the
+products -J^T cov and rho^T cov of the lift check: its BLAS sums them with
+fused multiply-adds, which a Python sum does not reproduce.  The float
+functions import numpy themselves, so the exact part of this module never
+loads it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import isfinite
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import algebra
@@ -31,6 +40,27 @@ if TYPE_CHECKING:
 
 class NonFiniteState(RuntimeError):
     """The integrator produced a non-finite state (blow-up)."""
+
+
+# ---------------------------------------------------------------------------
+# Generated float code
+# ---------------------------------------------------------------------------
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(count)]
+
+
+def _tuple(items: Sequence[str]) -> str:
+    return "(" + "".join(f"{item}, " for item in items) + ")"
+
+
+def _compile(params: str, lines: Sequence[str], scope: dict | None = None) -> Callable:
+    """``f(params)`` with the body ``lines``, source generated from
+    polynomial coefficients, its free names looked up in ``scope``."""
+    namespace = dict(scope or {})
+    exec(f"def f({params}):\n" + "".join(f"    {line}\n" for line in lines), namespace)  # noqa: S102
+    return namespace["f"]
 
 
 # ---------------------------------------------------------------------------
@@ -106,30 +136,22 @@ class HamiltonianField:
     base: PolyVectorField
     fiber_matrix: tuple[tuple[Polynomial, ...], ...]
 
-    def rhs_fn(self) -> Callable[[np.ndarray], np.ndarray]:
-        import numpy as np
-
+    def rhs_fn(self) -> Callable[[Sequence[float]], tuple[float, ...]]:
+        """The field as one generated function: the state (x, xi), n + N
+        floats, in; its n + N components out as a tuple.  The base part comes
+        first; then for each j, sum_k c_jk(x)*xi_k in the order of k over the
+        structurally nonzero c_jk, each skipped when its value is zero."""
         n = self.presentation.dim
-        big_n = self.presentation.num_generators
-        base_fns = [c.as_float_fn() for c in self.base.components]
-        fiber_fns = [[e.as_float_fn() for e in row] for row in self.fiber_matrix]
-
-        def rhs(y: np.ndarray) -> np.ndarray:
-            x = y[:n]
-            xi = y[n:]
-            out = np.empty(n + big_n)
-            for l in range(n):
-                out[l] = base_fns[l](x)
-            for j in range(big_n):
-                acc = 0.0
-                for k in range(big_n):
-                    coeff = fiber_fns[j][k](x)
-                    if coeff:
-                        acc += coeff * xi[k]
-                out[n + j] = acc
-            return out
-
-        return rhs
+        v = _names("v", n + self.presentation.num_generators)
+        lines = [f"{_tuple(v)} = y"]
+        lines += [f"b{l} = {c.float_expr(v[:n])}" for l, c in enumerate(self.base.components)]
+        for j, row in enumerate(self.fiber_matrix):
+            lines.append(f"a{j} = 0.0")
+            for k, c in enumerate(row):
+                if not c.is_zero():
+                    lines += [f"c = {c.float_expr(v[:n])}", f"if c: a{j} += c * {v[n + k]}"]
+        lines.append(f"return {_tuple(_names('b', n) + _names('a', len(self.fiber_matrix)))}")
+        return _compile("y", lines)
 
 
 def hamiltonian_field(p: FoliationPresentation, a) -> HamiltonianField:
@@ -188,28 +210,55 @@ class Trajectory:
     states: np.ndarray  # (steps+1, dim)
 
 
-def flow_rk4(rhs: Callable[[np.ndarray], np.ndarray], start: Sequence[float], t_final: float, steps: int) -> Trajectory:
-    """Classical fixed-step RK4; raises NonFiniteState on blow-up."""
+@cache
+def _rk4_step(d: int) -> Callable:
+    """One classical RK4 step on d floats, ``step(rhs, y, h)``: the stages
+    at y + (0.5*h)*k1, y + (0.5*h)*k2 and y + h*k3, then
+    y + (h/6)*(((k1 + 2*k2) + 2*k3) + k4), componentwise in numpy's order."""
+    y = _names("y", d)
+    k = [_names(f"k{s}_", d) for s in range(1, 5)]
+
+    def stage(ks: list[str], step: str) -> str:
+        return _tuple([f"{a} + {step}*{b}" for a, b in zip(y, ks)])
+
+    update = [f"{a} + h6*((({b1} + 2*{b2}) + 2*{b3}) + {b4})" for a, b1, b2, b3, b4 in zip(y, *k)]
+    return _compile(
+        "rhs, y, h",
+        [
+            "hh, h6 = 0.5 * h, h / 6.0",
+            f"{_tuple(y)} = y",
+            f"{_tuple(k[0])} = rhs(y)",
+            f"{_tuple(k[1])} = rhs({stage(k[0], 'hh')})",
+            f"{_tuple(k[2])} = rhs({stage(k[1], 'hh')})",
+            f"{_tuple(k[3])} = rhs({stage(k[2], 'h')})",
+            f"return {_tuple(update)}",
+        ]
+    )
+
+
+def flow_rk4(
+    rhs: Callable[[Sequence[float]], Sequence[float]], start: Sequence[float], t_final: float, steps: int
+) -> Trajectory:
+    """Classical fixed-step RK4 on Python floats; raises NonFiniteState on blow-up.
+
+    ``rhs`` takes the state as a sequence of floats and returns its
+    derivative as a sequence of floats of the same length.
+    """
     import numpy as np
 
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    y = np.array([float(v) for v in start], dtype=float)
+    y = tuple(float(v) for v in start)
     h = t_final / steps
+    step = _rk4_step(len(y))
     times = np.linspace(0.0, t_final, steps + 1)
-    states = np.empty((steps + 1, y.size))
+    states = np.empty((steps + 1, len(y)))
     states[0] = y
-    # overflow is reported once, as NonFiniteState, not as numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(steps):
-            k1 = rhs(y)
-            k2 = rhs(y + 0.5 * h * k1)
-            k3 = rhs(y + 0.5 * h * k2)
-            k4 = rhs(y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(y)):
-                raise NonFiniteState(f"blow-up at step {s+1}")
-            states[s + 1] = y
+    for s in range(steps):
+        y = step(rhs, y, h)
+        if not all(map(isfinite, y)):
+            raise NonFiniteState(f"blow-up at step {s+1}")
+        states[s + 1] = y
     return Trajectory(times, states)
 
 
@@ -303,34 +352,39 @@ def cotangent_lift_check(p: FoliationPresentation, flow: CovectorFlow, *, tol: f
     # the same RK4 grid: linspace ends exactly at t_final
     steps = len(traj_h.times) - 1
     t_final = float(traj_h.times[-1])
-    n = p.dim
-    base_fns = [c.as_float_fn() for c in h.base.components]
-    jac_fns = [
-        [h.base.components[l].diff(p.vars[mm]).as_float_fn() for mm in range(n)] for l in range(n)
-    ]
-
-    def lift_rhs(y: np.ndarray) -> np.ndarray:
-        x = y[:n]
-        cov = y[n:]
-        out = np.empty(2 * n)
-        for l in range(n):
-            out[l] = base_fns[l](x)
-        jac = np.array([[jac_fns[l][mm](x) for mm in range(n)] for l in range(n)])
-        out[n:] = -jac.T @ cov
-        return out
-
+    n, big_n = p.dim, p.num_generators
+    v = _names("v", 2 * n)
+    base = h.base.components
+    neg_jac = [f"-({base[l].diff(p.vars[m]).float_expr(v[:n])})" for l in range(n) for m in range(n)]
+    # the derivative of the covector, -J^T cov with J_lm = d rho(a)_l / dx_m:
+    # numpy's product of a transposed C-ordered matrix (its BLAS fuses the
+    # multiply-adds, which a Python sum does not reproduce); for n = 1 the
+    # lone product 0.0 + a*c is the same number
+    lines = [f"{_tuple(v)} = y"]
+    if n == 1:
+        scope, product = {}, [f"0.0 + {neg_jac[0]}*{v[1]}"]
+    else:
+        nj = np.empty(n * n)
+        scope = {"nj": nj, "neg_jac_t": nj.reshape(n, n).T, "cov": np.empty(n)}
+        lines += [f"nj[:] = {_tuple(neg_jac)}", f"cov[:] = {_tuple(v[n:])}"]
+        product = ["*(neg_jac_t @ cov).tolist()"]
+    lines.append(f"return {_tuple([c.float_expr(v[:n]) for c in base] + product)}")
     y0 = [float(x) for x in flow.point] + [float(x) for x in flow.eta]
-    traj_l = flow_rk4(lift_rhs, y0, t_final, steps)
+    # overflow is reported once, as NonFiniteState, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj_l = flow_rk4(_compile("y", lines, scope), y0, t_final, steps)
 
-    anchor = p.anchor()
-    anchor_fns = [[e.as_float_fn() for e in row] for row in anchor]
+    entries = [e.float_expr(v[:n]) for row in p.anchor() for e in row]
+    anchor = _compile("y", [f"{_tuple(v[:n])} = y", f"return {_tuple(entries)}"])
+    rho = np.empty(n * big_n)
+    rho_t = rho.reshape(n, big_n).T
     max_dev = 0.0
     for s in range(steps + 1):
         xi_h = traj_h.states[s][n:]
         x_l = traj_l.states[s][:n]
         cov = traj_l.states[s][n:]
-        rho_t = np.array([[anchor_fns[l][j](x_l) for j in range(p.num_generators)] for l in range(n)])
-        xi_lift = rho_t.T @ cov
+        rho[:] = anchor(x_l.tolist())
+        xi_lift = rho_t @ cov
         max_dev = max(max_dev, float(np.linalg.norm(xi_h - xi_lift)))
     return LiftResult(max_dev, steps, tol)
 

@@ -746,6 +746,33 @@ class TestCommands:
         assert code == 0
         assert (hashlib.sha256(data).hexdigest(), len(data)) == (sha256, size)
 
+    @pytest.mark.parametrize(
+        "preset, code, digests",
+        [
+            (
+                "so3_r3",
+                0,
+                {
+                    "trajectory_0.csv": "7d2afeac2bc325693f3b7ad1ec458a108640cc9c7c6c6946bcb8b345decd0e5f",
+                    "trajectory_1.csv": "88c146a23f86e7dcc855307dd2b21c178960c43348551cea9290336ca862807a",
+                },
+            ),
+            # quadratic fields, and a cotangent lift that fails its check
+            (
+                "order2_r2",
+                1,
+                {
+                    "trajectory_0.csv": "7c8b9bd67b16163794c3fd32dd9301e68c032b8eb3c0d921477c4b4ddaeb47fd",
+                    "trajectory_1.csv": "2961feee2a5a4ab692d7589a89d12aa5dedb745348d8eff70e7cadd41894681d",
+                },
+            ),
+        ],
+    )
+    def test_golden_trajectory_csv(self, capsys, tmp_path, preset, code, digests):
+        # every RK4 state, as written by the numpy loop that the generated code replaced
+        assert run_cli(capsys, "poisson-check", preset, "--csv", str(tmp_path))[0] == code
+        assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()} == digests
+
     def test_exact_commands_do_not_load_numpy(self):
         # numpy is imported only on the float paths (elliptic, poisson-check,
         # selftest); a fresh interpreter shows what the exact commands load

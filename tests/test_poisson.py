@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,9 @@ from folcone.foliation import FoliationPresentation, is_regular, jacobi_flag
 from folcone.grassmann import Curve, make_subspace
 from folcone.hncone import hn_fiber
 from folcone.poisson import (
+    CovectorFlow,
     NonFiniteState,
+    Trajectory,
     check_scenario,
     cotangent_lift_check,
     covector_flow,
@@ -165,7 +168,7 @@ class TestPoissonJacobi:
 
 class TestFlows:
     def test_zero_field_constant(self):
-        traj = flow_rk4(lambda y: np.zeros_like(y), [1.0, 2.0], 1.0, 50)
+        traj = flow_rk4(lambda y: (0.0,) * len(y), [1.0, 2.0], 1.0, 50)
         assert np.allclose(traj.states[-1], [1.0, 2.0], atol=0)
 
     def test_abelian_translation(self):
@@ -179,9 +182,8 @@ class TestFlows:
         assert np.linalg.norm(traj.states[-1][:3] - np.array([1.0, 0.0, 0.0])) < 1e-8
 
     def test_blow_up_detected(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonFiniteState):
-                flow_rk4(lambda y: y * y * 1e3, [10.0], 10.0, 60)
+        with pytest.raises(NonFiniteState):
+            flow_rk4(lambda y: tuple(v * v * 1e3 for v in y), [10.0], 10.0, 60)
 
     def test_non_finite_start(self):
         h = hamiltonian_field(abelian(), 0)
@@ -264,3 +266,146 @@ def test_scenario_checks_share_one_hamiltonian_flow(monkeypatch):
     assert res.passed and res.identity_defects == ()
     # (m, rho*_m eta) for the H_a flow, (m, eta) for the cotangent lift
     assert starts == [[1.0, 0.0, 0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the float layer on numpy arrays, which the generated code
+# replaces; every state and every measured float must be the same bits
+# ---------------------------------------------------------------------------
+
+
+def numpy_rhs_fn(h):
+    n = h.presentation.dim
+    big_n = h.presentation.num_generators
+    base_fns = [c.as_float_fn() for c in h.base.components]
+    fiber_fns = [[e.as_float_fn() for e in row] for row in h.fiber_matrix]
+
+    def rhs(y):
+        x = y[:n]
+        xi = y[n:]
+        out = np.empty(n + big_n)
+        for l in range(n):
+            out[l] = base_fns[l](x)
+        for j in range(big_n):
+            acc = 0.0
+            for k in range(big_n):
+                coeff = fiber_fns[j][k](x)
+                if coeff:
+                    acc += coeff * xi[k]
+            out[n + j] = acc
+        return out
+
+    return rhs
+
+
+def numpy_flow_rk4(rhs, start, t_final, steps):
+    y = np.array([float(v) for v in start], dtype=float)
+    h = t_final / steps
+    times = np.linspace(0.0, t_final, steps + 1)
+    states = np.empty((steps + 1, y.size))
+    states[0] = y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * h * k1)
+            k3 = rhs(y + 0.5 * h * k2)
+            k4 = rhs(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise NonFiniteState(f"blow-up at step {s+1}")
+            states[s + 1] = y
+    return Trajectory(times, states)
+
+
+def numpy_covector_flow(p, m, eta, a, t_final, steps):
+    flow = covector_flow(p, m, eta, a, t_final, 1)  # the exact start and the field
+    start = [float(x) for x in flow.point] + list(flow.trajectory.states[0][p.dim :])
+    traj = numpy_flow_rk4(numpy_rhs_fn(flow.field), start, t_final, steps)
+    return CovectorFlow(flow.point, flow.eta, flow.field, traj)
+
+
+def numpy_lift_deviation(p, flow):
+    h, traj_h = flow.field, flow.trajectory
+    steps = len(traj_h.times) - 1
+    n = p.dim
+    base_fns = [c.as_float_fn() for c in h.base.components]
+    jac_fns = [[h.base.components[l].diff(p.vars[mm]).as_float_fn() for mm in range(n)] for l in range(n)]
+
+    def lift_rhs(y):
+        x = y[:n]
+        cov = y[n:]
+        out = np.empty(2 * n)
+        for l in range(n):
+            out[l] = base_fns[l](x)
+        jac = np.array([[jac_fns[l][mm](x) for mm in range(n)] for l in range(n)])
+        out[n:] = -jac.T @ cov
+        return out
+
+    y0 = [float(x) for x in flow.point] + [float(x) for x in flow.eta]
+    traj_l = numpy_flow_rk4(lift_rhs, y0, float(traj_h.times[-1]), steps)
+    anchor_fns = [[e.as_float_fn() for e in row] for row in p.anchor()]
+    max_dev = 0.0
+    for s in range(steps + 1):
+        xi_h = traj_h.states[s][n:]
+        x_l = traj_l.states[s][:n]
+        cov = traj_l.states[s][n:]
+        rho_t = np.array([[anchor_fns[l][j](x_l) for j in range(p.num_generators)] for l in range(n)])
+        max_dev = max(max_dev, float(np.linalg.norm(xi_h - rho_t.T @ cov)))
+    return traj_l, max_dev
+
+
+def _seeded_scenarios(name, count):
+    """Regular starts in [-1, 1]^n, where the quadratic fields of order2_r2
+    stay finite up to T = 1 for a single generator, and a covector eta; a
+    generator index, then a combination of all generators, by turns.  A
+    combination makes the Jacobian dense, so that the lift's products sum
+    several terms."""
+    p = load_preset(name).presentation
+    rng = random.Random(f"{name}:{count}")
+    coordinate = lambda: Fraction(rng.randint(-3, 3), rng.randint(3, 4))  # noqa: E731
+    out = []
+    while len(out) < count:
+        m = tuple(coordinate() for _ in range(p.dim))
+        if not is_regular(p, m):
+            continue
+        if len(out) % 2:
+            a = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(p.num_generators))
+        else:
+            a = rng.randrange(p.num_generators)
+        out.append((m, tuple(coordinate() for _ in range(p.dim)), a))
+    return out
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_generated_float_layer_matches_numpy_bit_for_bit(name):
+    p = load_preset(name).presentation
+    steps = 60 if name == "r4_counterexample" else 300
+    compared = 0
+    for m, eta, a in _seeded_scenarios(name, 4):
+        try:
+            ref = numpy_covector_flow(p, m, eta, a, 1.0, steps)
+        except NonFiniteState as exc:
+            with pytest.raises(NonFiniteState, match=f"^{exc}$"):
+                covector_flow(p, m, eta, a, 1.0, steps)
+            continue
+        new = covector_flow(p, m, eta, a, 1.0, steps)
+        assert np.array_equal(new.trajectory.states, ref.trajectory.states)
+        assert np.array_equal(new.trajectory.times, ref.trajectory.times)
+        ref_inv, new_inv = hn_invariance_test(p, ref), hn_invariance_test(p, new)
+        assert (new_inv.max_drift, new_inv.snap_radius) == (ref_inv.max_drift, ref_inv.snap_radius)
+        _, ref_dev = numpy_lift_deviation(p, ref)
+        assert cotangent_lift_check(p, new).max_deviation == ref_dev
+        compared += 1
+    assert compared >= 3
+
+
+@pytest.mark.parametrize(
+    "point, t_final, steps, blow_up",
+    [((1, 1), 2.0, 1000, 503), ((1, 1), 1.5, 50, 36), ((1, 0), 3.0, 1000, 336)],
+)
+def test_blow_up_at_the_reference_step(point, t_final, steps, blow_up):
+    # the quadratic fields of order2_r2 leave the finite range in finite time
+    p = load_preset("order2_r2").presentation
+    for flow in (covector_flow, numpy_covector_flow):
+        with pytest.raises(NonFiniteState, match=f"at step {blow_up}$"):
+            flow(p, point, (1, 1), 0, t_final, steps)

@@ -2,6 +2,10 @@
 
 import importlib
 import importlib.util
+import json
+import statistics
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -76,6 +80,7 @@ def test_bench_pairs_refuses_bad_arguments_before_any_run(monkeypatch, tmp_path)
         ["--out", str(tmp_path / "file" / "BENCH.json")],
         ["--out", str(tmp_path / "BENCH.json"), "--pairs", "1"],
         ["--out", str(tmp_path / "BENCH.json"), "--pairs", "0"],
+        ["--out", str(tmp_path / "BENCH.json"), "--workload", "r4_cone", "--workload", "no_such_workload"],
     ):
         with pytest.raises(SystemExit) as exc:
             bench_pairs.main(["HEAD", "HEAD", *argv])
@@ -110,3 +115,47 @@ def test_bench_pairs_records_each_runs_wall_time(monkeypatch):
     }
     error = bench_pairs.measure(SimpleNamespace(run=fail), "r4_cone", 1, 38, ["setup_s"])
     assert error == {"seed": 1, "error": "worker exited with 1", "wall_s": 1.25}
+
+
+def test_bench_pairs_runs_only_the_named_workloads(monkeypatch, tmp_path):
+    bench_pairs = load_bench_pairs()
+    ran = []
+
+    def run(workload, seed, seconds, trace):
+        ran.append((workload, seed))
+        value = {"r4_isotropy": 1.0, "small_mix": 2.0}[workload]
+        metrics = {m: {"value": value + seed} for m in ("op_norm_s", "peak_rss_mb", "setup_s")}
+        return {"correct": True, "attempted": 5, "failed": 0, "metrics": metrics, "detail": {"machine.calib_s": 0.2}}
+
+    runner = SimpleNamespace(run=run, summarise=lambda xs: {"median": statistics.median(xs)})
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: {"rev": rev})
+    monkeypatch.setattr(bench_pairs, "load_baseline", lambda root, name: runner)
+    out = tmp_path / "pairs.json"
+    argv = ["HEAD", "HEAD", "--pairs", "2", "--out", str(out), "--workload", "small_mix", "--workload", "r4_isotropy"]
+    assert bench_pairs.main(argv) == 0
+    # BENCHMARK.json's order, each side once per seed, r4_cone left out
+    assert ran == [(w, seed) for w in ("r4_isotropy", "small_mix") for seed in (0, 0, 1, 1)]
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == ["r4_isotropy", "small_mix"]
+    assert report["workloads"]["small_mix"]["parent"]["op_norm_s"] == {"median": 2.5}
+
+
+def test_tracer_counts_the_steps_of_both_flows_of_a_scenario():
+    # a fresh interpreter: the tracer rebinds folcone's functions for good
+    script = f"""
+import contextlib, importlib.util, io
+spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
+tracer_module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_module)
+tracer = tracer_module.Tracer()
+tracer.install()
+from folcone import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0"]) == 0
+stats, counts = tracer.reset()
+print(stats["poisson.flow_rk4"][0], counts["poisson.rk4_steps"])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # the H_a flow and the cotangent lift, 1000 steps of four evaluations each
+    assert proc.stdout.split() == ["2", "2000.0"]

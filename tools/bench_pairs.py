@@ -1,22 +1,24 @@
 """Alternating parent/change runs of the benchmark, written as one BENCH_<n>.json.
 
     python3 tools/bench_pairs.py PARENT CHANGE --pairs 10 --out BENCH_6.json
+    python3 tools/bench_pairs.py PARENT CHANGE --workload small_mix --out pairs.json
 
 PARENT and CHANGE are git revisions of this repository.  Each is exported
 with ``git archive`` into a temporary directory (under ``$TMPDIR``), so only
 committed files run.  The workloads, the run length and the end-to-end
-metrics are those of BENCHMARK.json.  For every workload and pair i, each
-export runs seed i once through its own ``perfbench/baseline.py`` runner
-(``perfbench/run.py`` untraced), one run at a time; the side that runs first
-alternates from pair to pair.  The output records both revisions (commit
+metrics are those of BENCHMARK.json; ``--workload NAME`` (repeatable) runs
+only the named ones, in BENCHMARK.json's order.  For every workload and pair
+i, each export runs seed i once through its own ``perfbench/baseline.py``
+runner (``perfbench/run.py`` untraced), one run at a time; the side that runs
+first alternates from pair to pair.  The output records both revisions (commit
 and ``src`` tree), every run, and per workload and side the
 ``perfbench/baseline.py`` summary of each metric, with the number of pairs
 the change won on each, the seeds and the machine.  Each run also records
 ``wall_s``, its wall time from the call of the runner until it returns,
 set-up, loop and report checks together.  A run that exits non-zero is kept
 with its error and its wall time and left out of the summary.  ``--pairs``
-below 2 or an ``--out`` that cannot be opened for writing exits 2 before
-either revision is exported.
+below 2, a workload that BENCHMARK.json does not name, or an ``--out`` that
+cannot be opened for writing exits 2 before either revision is exported.
 """
 
 from __future__ import annotations
@@ -99,10 +101,15 @@ def cpu_model() -> str:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="git revision of the parent commit")
     ap.add_argument("change", help="git revision of the change")
     ap.add_argument("--pairs", type=int, default=10, help="pairs per workload, at least 2 (default 10)")
+    ap.add_argument(
+        "--workload", action="append", choices=names, help="run only this workload (repeatable; default all)"
+    )
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     # fail before the first run: a summary needs two pairs, and the report is
@@ -114,7 +121,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         ap.error(f"cannot write --out: {exc}")
 
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -139,7 +145,7 @@ def main(argv=None) -> int:
             },
             "workloads": {},
         }
-        for workload in (w["name"] for w in bench["workloads"]):
+        for workload in (w for w in names if args.workload is None or w in args.workload):
             pairs = []
             for seed in range(args.pairs):
                 order = SIDES if seed % 2 == 0 else SIDES[::-1]
