@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folcone import algebra
 from folcone.expr import Polynomial, PolyVectorField, parse_polynomial, parse_vector_field
 from folcone.foliation import FoliationPresentation, is_regular, jacobi_flag
 from folcone.grassmann import Curve, make_subspace
@@ -318,10 +319,11 @@ def numpy_flow_rk4(rhs, start, t_final, steps):
 
 
 def numpy_covector_flow(p, m, eta, a, t_final, steps):
-    flow = covector_flow(p, m, eta, a, t_final, 1)  # the exact start and the field
-    start = [float(x) for x in flow.point] + list(flow.trajectory.states[0][p.dim :])
-    traj = numpy_flow_rk4(numpy_rhs_fn(flow.field), start, t_final, steps)
-    return CovectorFlow(flow.point, flow.eta, flow.field, traj)
+    point = tuple(Fraction(x) for x in m)
+    eta_q = tuple(Fraction(x) for x in eta)
+    xi0 = algebra.mat_vec(algebra.transpose(p.anchor_at(point)), eta_q)
+    h = hamiltonian_field(p, a)
+    return CovectorFlow(point, eta_q, h, numpy_flow_rk4(numpy_rhs_fn(h), point + tuple(xi0), t_final, steps))
 
 
 def numpy_lift_deviation(p, flow):
