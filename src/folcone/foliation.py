@@ -379,10 +379,21 @@ def jacobi_flag(p: FoliationPresentation) -> bool:
     The Jacobiator is alternating (given antisymmetric c), so distinct
     index triples suffice.  The sums run on coefficient maps (``terms``),
     and X_c[c_ab^m] is left out where c_ab^m is constant.
+
+    A certificate comes first.  Since [X_a, X_b] = sum_l c_ab^l X_l holds
+    exactly, the anchor maps the Jacobiator J of a triple to
+    [[X_a,X_b],X_c] + cyclic = 0: J is a syzygy of the generators.  When
+    every c_ab^l is constant, so is J, and when the generator fields are
+    linearly independent over Q (one ``echelon`` of their coefficient rows
+    has rank N), every J is 0 and the flag is True without the triple loop.
+    Otherwise the loop decides.
     """
     c = p.require_structure("the Jacobi flag")
     n = p.num_generators
     constant = (0,) * p.dim
+    if all(q.terms.keys() <= {constant} for a in range(n) for b in range(a + 1, n) for q in c[a][b]):
+        if len(algebra.echelon(_membership_rows(p.anchor(), [constant]))) == n:
+            return True
     nonzero = [
         [[(l, c[a][b][l].terms) for l in range(n) if c[a][b][l].terms] for b in range(n)]
         for a in range(n)

@@ -567,21 +567,24 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv, expected",
         [
-            # 3 fixed candidate starts, then 11 sampled steps on each of 2 flows
+            # 3 fixed candidate starts, then 11 sampled steps on each of 2 flows,
+            # plus the Jacobi flag's rank test (constant structure functions)
             (
                 ("poisson-check", "so3_r3"),
-                {"is_regular": 3, "leaf_dimension_at": 3, "kernel_at": 0, "echelon": 25, "sparse_rref": 22},
+                {"is_regular": 3, "leaf_dimension_at": 3, "kernel_at": 0, "echelon": 26, "sparse_rref": 22},
             ),
-            # the named start once, then 11 sampled steps
+            # the named start once, then 11 sampled steps; the structure
+            # functions are not constant, so the Jacobi flag runs no rank test
             (
                 ("poisson-check", "order2_r2", "--scenario", "point=0,1;gen=g2;eta=0,-2"),
                 {"is_regular": 1, "leaf_dimension_at": 1, "kernel_at": 0, "echelon": 12, "sparse_rref": 11},
             ),
             # one isotropy algebra at each of 3 default points; the strong
-            # kernel is solved at the origin only, the other two are regular
+            # kernel is solved at the origin only, the other two are regular;
+            # plus the Jacobi flag's rank test (constant structure functions)
             (
                 ("analyze", "r4_counterexample"),
-                {"is_regular": 0, "leaf_dimension_at": 0, "kernel_at": 3, "echelon": 11, "sparse_rref": 10},
+                {"is_regular": 0, "leaf_dimension_at": 0, "kernel_at": 3, "echelon": 12, "sparse_rref": 10},
             ),
         ],
         ids=["poisson-check-auto", "poisson-check-scenario", "analyze-r4"],

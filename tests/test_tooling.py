@@ -140,8 +140,43 @@ def test_bench_pairs_runs_only_the_named_workloads(monkeypatch, tmp_path):
     assert report["workloads"]["small_mix"]["parent"]["op_norm_s"] == {"median": 2.5}
 
 
-def test_tracer_counts_the_steps_of_both_flows_of_a_scenario():
-    # a fresh interpreter: the tracer rebinds folcone's functions for good
+def test_bench_pairs_records_the_median_ops_and_wall_time_of_each_side(monkeypatch, tmp_path):
+    bench_pairs = load_bench_pairs()
+    # per side: ops a run attempts at seeds 0, 1, 2; the clock advances by as many seconds
+    attempted = {"baseline_parent": [10, 30, 20], "baseline_change": [40, 60, 50]}
+    now = [0.0]
+    monkeypatch.setattr(bench_pairs, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+    def runner(name):
+        def run(workload, seed, seconds, trace):
+            now[0] += attempted[name][seed]
+            metrics = {m: {"value": 1.0} for m in ("op_norm_s", "peak_rss_mb", "setup_s")}
+            return {
+                "correct": True,
+                "attempted": attempted[name][seed],
+                "failed": 0,
+                "metrics": metrics,
+                "detail": {"machine.calib_s": 0.2},
+            }
+
+        return SimpleNamespace(run=run, summarise=lambda xs: {"median": statistics.median(xs)})
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: {"rev": rev})
+    monkeypatch.setattr(bench_pairs, "load_baseline", lambda root, name: runner(name))
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main(["HEAD", "HEAD", "--pairs", "3", "--out", str(out), "--workload", "r4_isotropy"]) == 0
+    summary = json.loads(out.read_text())["workloads"]["r4_isotropy"]
+    assert summary["context_medians"] == {
+        "parent": {"attempted": 20, "wall_s": 20.0},
+        "change": {"attempted": 50, "wall_s": 50.0},
+    }
+    # context only: the gated keys are the metrics of BENCHMARK.json
+    assert set(summary["parent"]) == set(summary["change_wins"]) == {"op_norm_s", "peak_rss_mb", "setup_s"}
+
+
+def run_traced(argv: list[str], keys: list[str]) -> list[str]:
+    """The traced call counts of ``keys`` over one op in a fresh interpreter
+    (the tracer rebinds folcone's functions for good)."""
     script = f"""
 import contextlib, importlib.util, io
 spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
@@ -151,11 +186,21 @@ tracer = tracer_module.Tracer()
 tracer.install()
 from folcone import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0"]) == 0
+    assert cli.main({argv!r}) == 0
 stats, counts = tracer.reset()
-print(stats["poisson.flow_rk4"][0], counts["poisson.rk4_steps"])
+print(*[stats[k][0] if k in stats else counts[k] for k in {keys!r}])
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_tracer_counts_one_jacobi_flag_per_analyze_op():
+    argv = ["analyze", "r4_counterexample", "--points=1,2,-1,3"]
+    assert run_traced(argv, ["foliation.jacobi_flag"]) == ["1"]
+
+
+def test_tracer_counts_the_steps_of_both_flows_of_a_scenario():
+    argv = ["poisson-check", "so3_r3", "--scenario", "point=1,0,0;gen=g3;eta=0,1,0"]
     # the H_a flow and the cotangent lift, 1000 steps of four evaluations each
-    assert proc.stdout.split() == ["2", "2000.0"]
+    assert run_traced(argv, ["poisson.flow_rk4", "poisson.rk4_steps"]) == ["2", "2000.0"]

@@ -15,7 +15,9 @@ and ``src`` tree), every run, and per workload and side the
 ``perfbench/baseline.py`` summary of each metric, with the number of pairs
 the change won on each, the seeds and the machine.  Each run also records
 ``wall_s``, its wall time from the call of the runner until it returns,
-set-up, loop and report checks together.  A run that exits non-zero is kept
+set-up, loop and report checks together; per workload and side the medians
+of ``attempted`` (ops run) and ``wall_s`` are recorded as context, not as
+metrics.  A run that exits non-zero is kept
 with its error and its wall time and left out of the summary.  ``--pairs``
 below 2, a workload that BENCHMARK.json does not name, or an ``--out`` that
 cannot be opened for writing exits 2 before either revision is exported.
@@ -28,6 +30,7 @@ import importlib.util
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -88,6 +91,10 @@ def summary(pairs: list[dict], better: dict[str, str], summarise) -> dict:
         sign = {"lower": 1, "higher": -1}
         out["change_wins"] = {
             m: sum(sign[b] * (p["change"][m] - p["parent"][m]) < 0 for p in ok) for m, b in better.items()
+        }
+        # context, not gated: how many ops a run completed and how long it took in all
+        out["context_medians"] = {
+            side: {k: statistics.median(p[side][k] for p in ok) for k in ("attempted", "wall_s")} for side in SIDES
         }
     return out
 
