@@ -31,7 +31,7 @@ from folcone.foliation import (
     structure_defect,
 )
 from folcone.grassmann import make_subspace
-from folcone.presets import BUILTIN_NAMES, load_preset
+from folcone.presets import BUILTIN_NAMES, load_preset, parse_preset_text
 
 XYZ = ("x", "y", "z")
 XY = ("x", "y")
@@ -482,6 +482,90 @@ def test_constant_structures_give_both_verdicts():
     broken = zero_generator_presentation(3, [(one, zero, zero), (zero,) * 3, (zero, one, zero)])
     assert jacobi_flag(heisenberg) is jacobi_flag_reference(heisenberg) is True
     assert jacobi_flag(broken) is jacobi_flag_reference(broken) is False
+
+
+def rebased(p, rows):
+    """The presentation with generators Y_i = sum_j rows[i][j] X_j, its
+    structure functions solved on first use."""
+    gens = []
+    for row in rows:
+        terms = [k * g for k, g in zip(row, p.generators) if k]
+        gens.append(sum(terms[1:], terms[0]))
+    return FoliationPresentation(p.vars, tuple(gens))
+
+
+def count_loop_entries(monkeypatch):
+    """Count the triple loop's coefficient-map updates in ``jacobi_flag``."""
+    calls = {"products": 0}
+    add_product = foliation._add_product
+
+    def counted(*args):
+        calls["products"] += 1
+        add_product(*args)
+
+    monkeypatch.setattr(foliation, "_add_product", counted)
+    return calls
+
+
+@st.composite
+def changes_of_basis(draw):
+    """An integer change of basis M = L U (unit triangular, so unimodular) of
+    a builtin's generators, sometimes with one more generator, the sum of two
+    rows: then the fields are dependent and the certificate cannot apply."""
+    p = load_preset(draw(st.sampled_from(["so3_r3", "vanishing_origin_2", "vanishing_origin_3"]))).presentation
+    n = p.num_generators
+    entry = st.integers(-2, 2)
+    lower = [[1 if i == j else draw(entry) if j < i else 0 for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)] for i in range(n)]
+    rows = [[sum(lower[i][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows.append([x + y for x, y in zip(rows[a], rows[b])])
+    return rebased(p, rows)
+
+
+@settings(max_examples=25, deadline=None)
+@given(changes_of_basis())
+def test_jacobi_flag_matches_the_reference_after_a_change_of_basis(p):
+    # the fields span the same module as the builtin's, so a structure exists
+    assert jacobi_flag(p) is jacobi_flag_reference(p)
+
+
+@pytest.mark.parametrize("dependent", [False, True], ids=["unimodular", "one-more-generator"])
+def test_jacobi_flag_on_a_changed_basis_of_r4(monkeypatch, dependent):
+    r4 = load_preset("r4_counterexample").presentation
+    n = r4.num_generators
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows[0][1] = 2
+    if dependent:
+        rows.append([1, 0, -1] + [0] * (n - 3))
+    p = rebased(r4, rows)
+    reference = jacobi_flag_reference(p)
+    calls = count_loop_entries(monkeypatch)
+    assert jacobi_flag(p) is reference is True
+    # constant structure functions either way: the rank test alone decides
+    assert (calls["products"] > 0) is dependent
+
+
+@pytest.mark.parametrize("name, loop", [("r4_counterexample", False), ("order2_r2", True)])
+def test_the_triple_loop_runs_only_without_the_certificate(monkeypatch, name, loop):
+    p = load_preset(name).presentation
+    flag = jacobi_flag_reference(p)
+    calls = count_loop_entries(monkeypatch)
+    assert jacobi_flag(p) is flag
+    assert (calls["products"] > 0) is loop
+
+
+def test_constant_structure_on_dependent_fields_can_fail_jacobi():
+    # the certificate needs independent fields: these three are equal, c is
+    # constant and exact (every bracket is 0), and the Jacobiator is e2 - e3
+    preset = parse_preset_text(
+        "vars x\n"
+        "generators\n  g1 = d/dx\n  g2 = d/dx\n  g3 = d/dx\n"
+        "structure\n  [g1, g2] = -g1 + g3\n  [g1, g3] = -g1 + g3\n  [g2, g3] = -g1 + g2\n"
+    )
+    p = preset.presentation
+    assert jacobi_flag(p) is jacobi_flag_reference(p) is False
 
 
 class TestIsotropy:

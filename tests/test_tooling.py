@@ -175,8 +175,8 @@ def test_bench_pairs_records_the_median_ops_and_wall_time_of_each_side(monkeypat
 
 
 def run_traced(argv: list[str], keys: list[str]) -> list[str]:
-    """The traced call counts of ``keys`` over one op in a fresh interpreter
-    (the tracer rebinds folcone's functions for good)."""
+    """The tracer's call count or counter value for each of ``keys`` over one
+    op, in a fresh interpreter (the tracer rebinds folcone's functions for good)."""
     script = f"""
 import contextlib, importlib.util, io
 spec = importlib.util.spec_from_file_location("perfbench_tracer", {str(TRACER)!r})
